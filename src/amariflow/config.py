@@ -109,40 +109,40 @@ def default_config() -> ExperimentConfig:
     )
 
 
-def _parse_scalar(kind: str, text: str, line: int, col: int):
+def _parse_scalar(kind: str, text: str, where: str):
     if kind == "float":
         try:
             v = float(text)
         except ValueError:
-            raise ParseError(f"line {line}, column {col}: {text!r} is not a float") from None
+            raise ParseError(f"{where}: {text!r} is not a float") from None
         if not math.isfinite(v):
-            raise ParseError(f"line {line}, column {col}: float must be finite, got {text!r}")
+            raise ParseError(f"{where}: float must be finite, got {text!r}")
         return v
     if kind == "int":
         try:
             return int(text)
         except ValueError:
-            raise ParseError(f"line {line}, column {col}: {text!r} is not an integer") from None
+            raise ParseError(f"{where}: {text!r} is not an integer") from None
     if kind == "bool":
         low = text.lower()
         if low == "true":
             return True
         if low == "false":
             return False
-        raise ParseError(f"line {line}, column {col}: {text!r} is not true/false")
+        raise ParseError(f"{where}: {text!r} is not true/false")
     return text  # str
 
 
-def _parse_value(kind: str, text: str, line: int, col: int):
+def _parse_value(kind: str, text: str, where: str):
     if kind in ("floats", "ints"):
         if text == "":
             return ()
         parts = text.split(",")
         item = "float" if kind == "floats" else "int"
-        return tuple(_parse_scalar(item, p.strip(), line, col) for p in parts)
+        return tuple(_parse_scalar(item, p.strip(), where) for p in parts)
     if kind == "str" and text == "":
-        raise ParseError(f"line {line}, column {col}: empty value")
-    return _parse_scalar(kind, text, line, col)
+        raise ParseError(f"{where}: empty value")
+    return _parse_scalar(kind, text, where)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -187,7 +187,9 @@ def parse_config(text: str) -> ExperimentConfig:
             )
         seen[(section, key)] = lineno
         kind = SCHEMA[section][key][0]
-        cfg.values[section][key] = _parse_value(kind, value_text, lineno, value_col)
+        cfg.values[section][key] = _parse_value(
+            kind, value_text, f"line {lineno}, column {value_col}"
+        )
     return cfg
 
 
@@ -230,7 +232,7 @@ def apply_override(cfg: ExperimentConfig, spec: str):
     if key not in SCHEMA[sec]:
         raise UnknownKeyError(f"override: unknown key {key!r} in [{sec}]")
     kind = SCHEMA[sec][key][0]
-    cfg.values[sec][key] = _parse_value(kind, value_text.strip(), 0, 0)
+    cfg.values[sec][key] = _parse_value(kind, value_text.strip(), f"override {spec!r}")
 
 
 # -- builders: config sections to live objects --------------------------------

@@ -4,7 +4,7 @@
 
 Three routes to the same law:
 
-* `em_simulate_full`: Euler-Maruyama on the grid, dense (or FFT) K.
+* `em_simulate_full`: Euler-Maruyama on the grid with the dense K.
 * `galerkin_simulate`: Euler-Maruyama on the leading N mode coefficients;
   at N = rank it is the full dynamics in the eigenbasis.
 * `doss_sussmann_simulate`: pathwise transform Y = V - eps*B*W, with Y
@@ -15,9 +15,12 @@ Three routes to the same law:
   while right-edge evaluation is an equally consistent scheme with a
   genuine O(dt) pathwise gap.  At eps = 0 both coincide.
 
-Noise is sampled once per run as a NoisePath and can be shared, truncated
-to fewer modes, or block-summed to a coarser step, so that comparisons
-between integrators see the same Brownian increments.
+A NoisePath holds a whole run's increments and can be shared, truncated to
+fewer modes, or block-summed to a coarser step, so that comparisons
+between integrators see the same Brownian increments.  `em_simulate_full`
+without a path streams its noise instead: it draws blocks of rows from the
+same stream, which gives the same increments as one whole-path draw, and
+spreads each spectral block onto the grid with one matrix product.
 
 White-on-grid noise scales node increments by sqrt(dt/h): then <dW, v>_H
 has variance dt*||v||_H^2, the cylindrical normalization.  Spectral noise
@@ -59,6 +62,9 @@ NOISE_MODES = ("white", "spectral")
 NOISE_RULES = ("b_eq_k", "b_sq_eq_k", "custom")
 
 DEFAULT_CLAMP = 1e3
+
+# Noise rows that em_simulate_full holds at once: about 1 MiB of grid rows.
+NOISE_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -188,25 +194,36 @@ def sample_noise_increments(
     target,
     dt: float,
     steps: int,
-    seed: int | None = None,
+    seed: int | np.random.Generator | None = None,
 ) -> NoisePath:
     """Draw a noise path for `target` (a Grid for white noise, a
-    SpectralDecomposition for spectral noise) from one derived stream."""
+    SpectralDecomposition for spectral noise) from one derived stream.
+
+    `seed` defaults to noise.seed.  A Generator is used as it stands and
+    continues its stream, as np.random.default_rng accepts one: calls on
+    derive_rng(s, 0) for 300 and then 200 steps give the rows of one
+    500-step draw with seed s.  Such a path records noise.seed.
+    """
     if dt <= 0.0 or steps < 1:
         raise RangeError(f"need dt > 0 and steps >= 1, got {dt!r}, {steps!r}")
-    seed = noise.seed if seed is None else int(seed)
-    rng = derive_rng(seed, 0)
+    if isinstance(seed, np.random.Generator):
+        rng, seed = seed, noise.seed
+    else:
+        seed = noise.seed if seed is None else int(seed)
+        rng = derive_rng(seed, 0)
     if noise.mode == "white":
         grid = target.grid if isinstance(target, SpectralDecomposition) else target
         if not isinstance(grid, Grid):
             raise RangeError("white noise needs a Grid target")
-        std = np.sqrt(dt / grid.h)
-        inc = std * rng.standard_normal((steps, grid.n))
-        return NoisePath("grid", float(dt), inc, seed)
-    if not isinstance(target, SpectralDecomposition):
+        kind, std, dim = "grid", np.sqrt(dt / grid.h), grid.n
+    elif not isinstance(target, SpectralDecomposition):
         raise RangeError("spectral noise needs a SpectralDecomposition target")
-    inc = np.sqrt(dt) * rng.standard_normal((steps, target.rank))
-    return NoisePath("modes", float(dt), inc, seed)
+    else:
+        kind, std, dim = "modes", np.sqrt(dt), target.rank
+    # scaled in place: a scaled copy would hold the path twice
+    inc = rng.standard_normal((steps, dim))
+    inc *= std
+    return NoisePath(kind, float(dt), inc, seed)
 
 
 @dataclass(eq=False)
@@ -312,34 +329,56 @@ def em_simulate_full(
     cfg: SimConfig,
     dec: SpectralDecomposition | None = None,
     path: NoisePath | None = None,
+    K: np.ndarray | None = None,
 ) -> TrajectoryRecord:
-    """Euler-Maruyama on the full grid with dense K.
+    """Euler-Maruyama on the full grid with the dense operator matrix K.
 
-    dec is optional plumbing for diagnostics (and required to map spectral
-    noise onto the grid).  Raises BlowUp when the state leaves the trust
-    region |u| <= cfg.clamp.
+    K is `build_operator_matrix(kernel, grid)`; pass it when it is already
+    assembled, or it is assembled here.  dec is optional plumbing for
+    diagnostics (and required to map spectral noise onto the grid).
+
+    Noise arrives in blocks of NOISE_BLOCK_BYTES // (8 n) rows: drawn from
+    the stream derive_rng(noise.seed, 0) when path is None, sliced from
+    path.increments otherwise, so a run on sample_noise_increments(...) of
+    the same seed is identical to one without a path.  A spectral block
+    reaches the grid as one product xi_block @ (E b)^T.
+
+    Raises BlowUp when the state leaves the trust region |u| <= cfg.clamp.
     """
     _check_gain(gain)
     if cfg.u0.grid != grid:
         raise GridMismatchError("initial condition grid does not match run grid")
     steps = cfg.n_steps
     dt = cfg.dt
-    K = build_operator_matrix(kernel, grid)
+    if K is None:
+        K = build_operator_matrix(kernel, grid)
+    elif K.shape != (grid.n, grid.n):
+        raise DimensionMismatchError(
+            f"operator matrix has shape {K.shape}, grid has {grid.n} nodes"
+        )
     stochastic = cfg.epsilon > 0.0
     if stochastic:
-        if noise.mode == "spectral" and dec is None:
+        spectral = noise.mode == "spectral"
+        if spectral and dec is None:
             raise RangeError(
                 "spectral noise needs the decomposition to reach the grid"
             )
+        target, dim = (dec, dec.rank) if spectral else (grid, grid.n)
         if path is None:
-            path = sample_noise_increments(
-                noise, dec if noise.mode == "spectral" else grid, dt, steps
-            )
-        if noise.mode == "white":
-            _check_path(path, "grid", dt, steps, grid.n)
+            rng = derive_rng(noise.seed, 0)
+
+            def noise_rows(k, m):
+                return sample_noise_increments(noise, target, dt, m, seed=rng).increments
+
         else:
-            _check_path(path, "modes", dt, steps, dec.rank)
-            spread = dec.eigenfields * noise.b_coeffs(dec)  # (n, r)
+            _check_path(path, "modes" if spectral else "grid", dt, steps, dim)
+
+            def noise_rows(k, m):
+                return path.increments[k : k + m, :dim]
+
+        if spectral:
+            spread_t = (dec.eigenfields * noise.b_coeffs(dec)).T  # (r, n)
+        block = max(1, NOISE_BLOCK_BYTES // (8 * grid.n))
 
     kit = _DiagnosticsKit(grid, dec, gain, cfg.alpha)
     snaps = _snapshot_indices(steps, cfg.record_every)
@@ -359,10 +398,15 @@ def em_simulate_full(
     for k in range(steps):
         du = dt * (-cfg.alpha * u + K @ gain.f(u))
         if stochastic:
-            if noise.mode == "white":
-                du += cfg.epsilon * path.increments[k]
-            else:
-                du += cfg.epsilon * (spread @ path.increments[k, : dec.rank])
+            j = k % block
+            if j == 0:
+                xi = noise_rows(k, min(block, steps - k))
+                if spectral:
+                    kick = xi @ spread_t
+                    kick *= cfg.epsilon
+                else:
+                    kick = cfg.epsilon * xi
+            du += kick[j]
         u = u + du
         amax = float(np.abs(u).max())
         if not np.isfinite(amax) or amax > cfg.clamp:
@@ -580,15 +624,17 @@ def convergence_table(
     noise: NoiseSpec,
     cfg: SimConfig,
     n_list,
+    K: np.ndarray | None = None,
 ) -> list:
     """Sup-over-snapshots H-distance between mode-truncated runs and the
-    full-grid reference, all driven by one shared spectral path.  Returns
-    [(N, sup_error)] in the order given."""
+    full-grid reference, all driven by one shared spectral path.  K is
+    passed on to `em_simulate_full`.  Returns [(N, sup_error)] in the
+    order given."""
     if noise.mode != "spectral":
         raise RangeError("the truncation study needs spectral noise")
     steps = cfg.n_steps
     path = sample_noise_increments(noise, dec, cfg.dt, steps)
-    ref = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec, path=path)
+    ref = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec, path=path, K=K)
     rows = []
     for N in n_list:
         N = int(N)

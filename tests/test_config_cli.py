@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from amariflow import Gaussian, MexicanHatGauss
+from amariflow import Gaussian, MexicanHatGauss, cli, sde
 from amariflow.cli import main
 from amariflow.config import (
     apply_override,
@@ -119,7 +119,7 @@ def test_apply_override_validation():
         apply_override(cfg, "solver.tol=1.0")
     with pytest.raises(UnknownKeyError):
         apply_override(cfg, "sim.alfa=1.0")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="override 'sim.alpha=fast': 'fast' is not a float"):
         apply_override(cfg, "sim.alpha=fast")
 
 
@@ -295,6 +295,40 @@ def test_cli_galerkin_compare(tmp_path, capsys):
     assert all(a >= b for a, b in zip(errs, errs[1:]))
 
 
+def test_cli_energy_trace_rounding_is_monotone(tmp_path, capsys):
+    # the largest increase of this trace is 8.9e-15, rounding of Theta
+    code = main([
+        "energy-trace", "--out", str(tmp_path),
+        "--override", "sim.t_final=20",
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "against an allowance of 1e-12 (monotone)" in out
+    theta = np.loadtxt(tmp_path / "energy.csv", delimiter=",", skiprows=1)[:, 1]
+    assert 0.0 < np.diff(theta).max() <= 1e-12
+
+
+def test_cli_assembles_the_operator_once(tmp_path, monkeypatch):
+    calls = []
+    real = cli.build_operator_matrix
+
+    def counted(kernel, grid):
+        calls.append(grid.n)
+        return real(kernel, grid)
+
+    monkeypatch.setattr(cli, "build_operator_matrix", counted)
+    monkeypatch.setattr(sde, "build_operator_matrix", counted)
+    for command in ("simulate", "energy-trace", "galerkin-compare", "doss-sussmann-compare"):
+        calls.clear()
+        code = main([
+            command, "--out", str(tmp_path / command),
+            "--override", "sim.t_final=0.2",
+            "--override", "sim.epsilon=0.3",
+        ])
+        assert code == 0
+        assert len(calls) == 1, command
+
+
 def test_cli_ds_compare(tmp_path, capsys):
     code = main([
         "doss-sussmann-compare", "--out", str(tmp_path),
@@ -388,6 +422,23 @@ def test_cli_bad_config_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: FileNotFound")
+
+
+def test_cli_os_error_exit_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["spectrum", "--out", str(taken)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FileExistsError:")
+    assert err.count("\n") == 1
+
+
+def test_cli_bad_override_names_it(tmp_path, capsys):
+    code = main(["simulate", "--out", str(tmp_path), "--override", "sim.epsilon=abc"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: ParseError: override 'sim.epsilon=abc': 'abc' is not a float\n"
 
 
 def test_cli_reads_config_file(tmp_path, capsys):

@@ -1,15 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from amariflow import sde
 from amariflow import (
     Field,
     GainSpec,
+    Gaussian,
     Grid,
     NoisePath,
     NoiseSpec,
     SimConfig,
     TrajectoryRecord,
+    build_operator_matrix,
     convergence_table,
     detect_switches,
     doss_sussmann_simulate,
@@ -17,6 +22,7 @@ from amariflow import (
     galerkin_simulate,
     invariance_monitor,
     sample_noise_increments,
+    spectral_decompose,
     write_trajectory_csv,
 )
 from amariflow.errors import (
@@ -27,6 +33,7 @@ from amariflow.errors import (
     RangeError,
     RankExceededError,
 )
+from amariflow.rng import derive_rng
 from conftest import constant_field
 
 
@@ -144,6 +151,25 @@ def test_noise_path_cumulative_and_coarsen(gauss_setup):
         path.coarsen(3)
 
 
+@pytest.mark.parametrize("mode", ["white", "spectral"])
+def test_blocked_draws_continue_one_stream(gauss_setup, mode):
+    _, grid, dec = gauss_setup
+    spec = NoiseSpec(mode=mode, rule=None if mode == "white" else "b_sq_eq_k", seed=11)
+    target = grid if mode == "white" else dec
+    whole = sample_noise_increments(spec, target, 0.01, 1000)
+    # scaled in place, bitwise as the scaled copy of one draw
+    std = np.sqrt(0.01 / grid.h) if mode == "white" else np.sqrt(0.01)
+    raw = derive_rng(11, 0).standard_normal(whole.increments.shape)
+    assert np.array_equal(whole.increments, std * raw)
+    rng = derive_rng(11, 0)
+    blocks = [
+        sample_noise_increments(spec, target, 0.01, m, seed=rng)
+        for m in (300, 300, 300, 100)
+    ]
+    assert all(b.seed == 11 and b.kind == whole.kind for b in blocks)
+    assert np.array_equal(np.vstack([b.increments for b in blocks]), whole.increments)
+
+
 def test_em_zero_gain_closed_form(gauss_setup):
     kernel, grid, dec = gauss_setup
     rng = np.random.default_rng(12)
@@ -183,6 +209,41 @@ def test_em_stochastic_determinism(gauss_setup):
     assert not np.array_equal(a.states, c.states)
 
 
+@pytest.mark.parametrize("mode", ["white", "spectral"])
+def test_em_streamed_noise_equals_explicit_path(gauss_setup, monkeypatch, mode):
+    kernel, grid, dec = gauss_setup
+    # 7-row blocks: 500 steps end in a partial block
+    monkeypatch.setattr(sde, "NOISE_BLOCK_BYTES", 7 * 8 * grid.n)
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=5.0,
+                    u0=constant_field(grid, 0.0), record_every=37)
+    spec = NoiseSpec(mode=mode, rule=None if mode == "white" else "b_sq_eq_k", seed=5)
+    path = sample_noise_increments(spec, grid if mode == "white" else dec,
+                                   cfg.dt, cfg.n_steps)
+    a = em_simulate_full(kernel, grid, GainSpec("sigmoid"), spec, cfg, dec=dec)
+    b = em_simulate_full(kernel, grid, GainSpec("sigmoid"), spec, cfg, dec=dec, path=path)
+    assert np.array_equal(a.states, b.states)
+    assert np.array_equal(a.mean_series, b.mean_series)
+    monkeypatch.setattr(sde, "NOISE_BLOCK_BYTES", 2**20)
+    c = em_simulate_full(kernel, grid, GainSpec("sigmoid"), spec, cfg, dec=dec)
+    if mode == "white":
+        assert np.array_equal(a.states, c.states)
+    else:
+        assert np.allclose(a.states, c.states, rtol=0, atol=1e-13)
+
+
+def test_em_takes_the_assembled_operator(gauss_setup):
+    kernel, grid, dec = gauss_setup
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=0.5,
+                    u0=constant_field(grid, 0.0), record_every=10)
+    K = build_operator_matrix(kernel, grid)
+    a = em_simulate_full(kernel, grid, GainSpec("sigmoid"), NoiseSpec(), cfg, dec=dec)
+    b = em_simulate_full(kernel, grid, GainSpec("sigmoid"), NoiseSpec(), cfg, dec=dec, K=K)
+    assert np.array_equal(a.states, b.states)
+    with pytest.raises(DimensionMismatchError):
+        em_simulate_full(kernel, grid, GainSpec("sigmoid"), NoiseSpec(), cfg,
+                         dec=dec, K=K[:-1, :-1])
+
+
 def test_em_requires_matching_grid_and_dec(gauss_setup):
     kernel, grid, dec = gauss_setup
     other = Grid(0.0, 1.0, 8)
@@ -217,6 +278,49 @@ def test_blowup_raises(periodic_setup):
     with pytest.raises(BlowUpError) as err:
         em_simulate_full(kernel, grid, gain, NoiseSpec(), cfg, dec=dec)
     assert err.value.step == 0
+
+
+def test_blowup_step_mid_block(periodic_setup, monkeypatch):
+    kernel, grid, dec = periodic_setup
+    block = 7
+    monkeypatch.setattr(sde, "NOISE_BLOCK_BYTES", block * 8 * grid.n)
+    gain = GainSpec("cubic", allow_non_lipschitz=True)
+    cfg = SimConfig(alpha=1.0, epsilon=1.0, dt=0.01, t_final=10.0,
+                    u0=constant_field(grid, 0.0), clamp=2.0)
+    spec = NoiseSpec(mode="white", rule=None, seed=3)
+    # the step-by-step recursion on the same draws
+    K = build_operator_matrix(kernel, grid)
+    path = sample_noise_increments(spec, grid, cfg.dt, cfg.n_steps)
+    u = cfg.u0.values.copy()
+    for k in range(cfg.n_steps):
+        u = u + (cfg.dt * (-cfg.alpha * u + K @ gain.f(u)) + cfg.epsilon * path.increments[k])
+        if np.abs(u).max() > cfg.clamp:
+            expect = k + 1
+            break
+    assert (expect - 1) % block != 0
+    with pytest.raises(BlowUpError) as err:
+        em_simulate_full(kernel, grid, gain, spec, cfg, dec=dec)
+    assert err.value.step == expect
+    assert err.value.time == expect * cfg.dt
+
+
+def test_streamed_run_holds_a_block_not_the_path():
+    kernel = Gaussian(width=0.01)
+    grid = Grid(-4.0, 4.0, 512)
+    K = build_operator_matrix(kernel, grid)
+    dec = spectral_decompose(K, grid)
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=150.0,
+                    u0=constant_field(grid, 0.0), record_every=100000)
+    path_bytes = cfg.n_steps * dec.rank * 8
+    tracemalloc.start()
+    try:
+        em_simulate_full(kernel, grid, GainSpec("sigmoid"), NoiseSpec(), cfg,
+                         dec=dec, K=K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path_bytes > 20e6
+    assert peak < path_bytes / 5
 
 
 def test_snapshot_thinning(gauss_setup):
