@@ -71,7 +71,6 @@ SCHEMA = {
         "ds_halvings": ("int", 3),
     },
     "galerkin": {
-        "n_modes": ("int", 0),  # 0 means full retained rank
         "n_list": ("ints", (1, 2, 4, 8)),
         "rel_tol": ("float", 1e-10),
         "neg_tol": ("float", 1e-8),
@@ -86,7 +85,6 @@ SCHEMA = {
         "sde_burn_in": ("int", 100),
     },
     "output": {
-        "record_states": ("bool", True),
         "switch_lower": ("float", -0.5),
         "switch_upper": ("float", 0.5),
     },

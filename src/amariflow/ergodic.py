@@ -32,7 +32,7 @@ from .errors import (
     RangeError,
     RankExceededError,
 )
-from .operator import SpectralDecomposition
+from .operator import SpectralDecomposition, write_csv
 from .rng import derive_rng
 
 
@@ -256,15 +256,13 @@ def compare_measures(a, b, threshold: float = 3.0) -> MomentReport:
 
 
 def write_samples_csv(samples: np.ndarray, path):
-    """Rows `step, c_1..c_N`, shortest round-trip decimals."""
-    import csv as _csv
-
+    """Rows `step, c_1..c_N`."""
     samples = np.asarray(samples, dtype=float)
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["step"] + [f"c_{i}" for i in range(1, samples.shape[1] + 1)])
-        for k, row in enumerate(samples):
-            w.writerow([k] + [repr(float(v)) for v in row])
+    write_csv(
+        path,
+        ["step"] + [f"c_{i}" for i in range(1, samples.shape[1] + 1)],
+        ([k, *row] for k, row in enumerate(samples.tolist())),
+    )
 
 
 def write_moment_report_jsonl(report: MomentReport, path):

@@ -252,22 +252,28 @@ def spectral_decompose(
     )
 
 
+def s_residual(dec: SpectralDecomposition, g: Field) -> tuple[np.ndarray, float]:
+    """Mode coefficients of g and the H-relative norm of its part outside S,
+    ||g - Pi_S g||_H / ||g||_H (0 for g = 0), from the explicit difference."""
+    c = dec.coeffs(g)
+    resid = np.linalg.norm(g.values - dec.eigenfields @ c)
+    return c, float(resid / max(np.linalg.norm(g.values), np.finfo(float).tiny))
+
+
 def project_S(dec: SpectralDecomposition, g: Field) -> tuple[Field, float]:
     """H-orthogonal projection onto S and the H-norm of the residual."""
-    c = dec.coeffs(g)
-    p = dec.reconstruct(c)
-    return p, norm_h(g - p)
+    c, rel = s_residual(dec, g)
+    return dec.reconstruct(c), rel * norm_h(g)
 
 
 def _coeffs_in_S(dec, g: Field, membership_tol: float) -> np.ndarray:
-    c = dec.coeffs(g)
-    resid = norm_h(g - dec.reconstruct(c))
-    if resid > membership_tol * max(norm_h(g), np.finfo(float).tiny):
+    c, rel = s_residual(dec, g)
+    if rel > membership_tol:
         raise NotInSError(
-            f"field has H-relative residual {resid / max(norm_h(g), np.finfo(float).tiny):.3e} "
-            f"outside S (tol {membership_tol:.1e})"
+            f"field has H-relative residual {rel:.3e} outside S (tol {membership_tol:.1e})"
         )
     return c
+
 
 def norm_hminus1(
     dec: SpectralDecomposition, g: Field, membership_tol: float = DEFAULT_MEMBERSHIP_TOL
@@ -327,11 +333,18 @@ def check_assumption5(lambdas, b_coeffs, n_terms: int | None = None):
     return partial_sums, monotone_growth
 
 
-def write_spectrum_csv(dec: SpectralDecomposition, path):
-    """CSV of retained eigenvalues, descending; index is the 1-based mode
-    number.  Floats use shortest round-trip decimal form."""
+def write_csv(path, header, rows):
+    """CSV with a header row.  Floats are written in shortest round-trip
+    decimal form, repr(float(v)); ints and strings pass through."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["index", "lambda"])
-        for i, lam in enumerate(dec.lambdas, start=1):
-            w.writerow([i, repr(float(lam))])
+        w.writerow(header)
+        w.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
+
+
+def write_spectrum_csv(dec: SpectralDecomposition, path):
+    """CSV of retained eigenvalues, descending; index is the 1-based mode
+    number."""
+    write_csv(path, ["index", "lambda"], enumerate(dec.lambdas.tolist(), start=1))

@@ -2,7 +2,9 @@
 
     dU = (-alpha U + K F(U)) dt + eps B dW
 
-Three routes to the same law:
+Three discretizations of the same flow, each a start state and a step
+function over one shared step loop (`_integrate`), which owns the
+trust-region check, the mean series, the snapshots and the noise blocks:
 
 * `em_simulate_full`: Euler-Maruyama on the grid with the dense K.
 * `galerkin_simulate`: Euler-Maruyama on the leading N mode coefficients;
@@ -15,12 +17,13 @@ Three routes to the same law:
   while right-edge evaluation is an equally consistent scheme with a
   genuine O(dt) pathwise gap.  At eps = 0 both coincide.
 
-A NoisePath holds a whole run's increments and can be shared, truncated to
-fewer modes, or block-summed to a coarser step, so that comparisons
-between integrators see the same Brownian increments.  `em_simulate_full`
-without a path streams its noise instead: it draws blocks of rows from the
-same stream, which gives the same increments as one whole-path draw, and
-spreads each spectral block onto the grid with one matrix product.
+Every scheme streams its noise: it draws blocks of rows from the stream
+of one whole-path draw, so it sees the same increments without holding
+the path.  A NoisePath holds a whole run's increments; it is kept for
+comparisons that share one path between integrators, truncated to fewer
+modes or block-summed to a coarser step, and a run on it is identical to
+one without it.  A spectral block reaches the grid with one matrix
+product.
 
 White-on-grid noise scales node increments by sqrt(dt/h): then <dW, v>_H
 has variance dt*||v||_H^2, the cylindrical normalization.  Spectral noise
@@ -55,6 +58,8 @@ from .operator import (
     SpectralDecomposition,
     build_operator_matrix,
     norm_h,
+    s_residual,
+    write_csv,
 )
 from .rng import derive_rng
 
@@ -63,7 +68,10 @@ NOISE_RULES = ("b_eq_k", "b_sq_eq_k", "custom")
 
 DEFAULT_CLAMP = 1e3
 
-# Noise rows that em_simulate_full holds at once: about 1 MiB of grid rows.
+# Per-snapshot diagnostics of a TrajectoryRecord, in column order.
+DIAGNOSTICS = ("mean", "h_norm", "hminus1_norm", "theta")
+
+# Noise rows that an integrator holds at once: about 1 MiB of grid rows.
 NOISE_BLOCK_BYTES = 2**20
 
 
@@ -255,47 +263,28 @@ class TrajectoryRecord:
 
 
 def _snapshot_indices(steps: int, record_every: int) -> np.ndarray:
-    ks = set(range(0, steps + 1, record_every))
-    ks.add(steps)
-    return np.asarray(sorted(ks), dtype=int)
+    return np.unique(np.append(np.arange(0, steps + 1, record_every), steps))
 
 
-class _DiagnosticsKit:
-    """Per-snapshot diagnostics: spatial mean, H norm, and when the state is
-    resolvable in S, the nonlocal norm and the Lyapunov value (NaN
-    otherwise; stochastic grid states have white components outside S and
-    that is expected, not an error)."""
+def _mode_diagnostics(gain, alpha, h, c, u, lambdas, hn=None):
+    """The DIAGNOSTICS of a state in S with mode coefficients c and grid
+    values u; hn, its H norm, defaults to |c|."""
+    hm1sq = float(np.sum(c * c / lambdas))
+    phi = float(h * np.sum(gain.phi(u)))
+    hn = float(np.sqrt(np.sum(c * c))) if hn is None else hn
+    return float(u.mean()), hn, float(np.sqrt(hm1sq)), -phi + 0.5 * alpha * hm1sq
 
-    def __init__(self, grid, dec, gain, alpha, membership_tol=DEFAULT_MEMBERSHIP_TOL):
-        self.grid = grid
-        self.dec = dec
-        self.gain = gain
-        self.alpha = alpha
-        self.tol = membership_tol
 
-    def compute_grid(self, u: np.ndarray):
-        h = self.grid.h
-        mean = float(u.mean())
-        hn = float(np.sqrt(h) * np.linalg.norm(u))
-        hm1 = theta = np.nan
-        if self.dec is not None:
-            c = h * (self.dec.eigenfields.T @ u)
-            resid = np.sqrt(max(h * (u @ u) - float(c @ c), 0.0))
-            if resid <= self.tol * max(hn, np.finfo(float).tiny):
-                hm1sq = float(np.sum(c * c / self.dec.lambdas))
-                hm1 = float(np.sqrt(hm1sq))
-                phi = float(h * np.sum(self.gain.phi(u)))
-                theta = -phi + 0.5 * self.alpha * hm1sq
-        return mean, hn, hm1, theta
-
-    def compute_modes(self, c: np.ndarray, u: np.ndarray, lambdas: np.ndarray):
-        h = self.grid.h
-        mean = float(u.mean())
-        hn = float(np.sqrt(np.sum(c * c)))
-        hm1sq = float(np.sum(c * c / lambdas))
-        phi = float(h * np.sum(self.gain.phi(u)))
-        theta = -phi + 0.5 * self.alpha * hm1sq
-        return mean, hn, float(np.sqrt(hm1sq)), theta
+def _grid_diagnostics(gain, alpha, grid, dec, u):
+    """The DIAGNOSTICS of grid values u, with NaN nonlocal norm and
+    Lyapunov value when u is not resolvable in S (stochastic grid states
+    have white components outside S; that is expected, not an error)."""
+    hn = float(np.sqrt(grid.h) * np.linalg.norm(u))
+    if dec is not None:
+        c, rel = s_residual(dec, Field(grid, u))
+        if rel <= DEFAULT_MEMBERSHIP_TOL:
+            return _mode_diagnostics(gain, alpha, grid.h, c, u, dec.lambdas, hn)
+    return float(u.mean()), hn, np.nan, np.nan
 
 
 def _check_gain(gain: GainSpec):
@@ -321,6 +310,78 @@ def _check_path(path: NoisePath, kind: str, dt: float, steps: int, dim: int):
         )
 
 
+def _integrate(cfg, noise, path, target, dim, kicks, start, step, diagnose, **record):
+    """The step loop of every integrator.
+
+    start is (x, u): the recorded state at t = 0 and its grid values.
+    step(w) returns the next (x, u); w is the step's row of kicks(xi), or
+    None when cfg.epsilon is 0.  kicks maps a block of standard increments
+    for `target`, cut to dim components, to one row per step; blocks have
+    NOISE_BLOCK_BYTES // (8 n) rows, drawn from derive_rng(noise.seed, 0)
+    or sliced from path.increments, which give the same rows.
+    diagnose(x, u) gives the DIAGNOSTICS; record holds the scheme's own
+    TrajectoryRecord fields.  Raises BlowUp when u leaves |u| <= cfg.clamp,
+    the start included.
+    """
+    steps, dt = cfg.n_steps, cfg.dt
+    stochastic = cfg.epsilon > 0.0
+    if stochastic:
+        if path is None:
+            rng = derive_rng(noise.seed, 0)
+
+            def rows(k, m):
+                return sample_noise_increments(noise, target, dt, m, seed=rng).increments[:, :dim]
+
+        else:
+            kind = "modes" if isinstance(target, SpectralDecomposition) else "grid"
+            _check_path(path, kind, dt, steps, dim)
+
+            def rows(k, m):
+                return path.increments[k : k + m, :dim]
+
+        block = max(1, NOISE_BLOCK_BYTES // (8 * record["grid"].n))
+
+    snaps = _snapshot_indices(steps, cfg.record_every)
+    x, u = start
+    states = np.empty((snaps.size, x.size))
+    diag = np.empty((snaps.size, 4))
+    mean_series = np.empty(steps + 1)
+    si = 0
+    for k in range(steps + 1):
+        amax = float(np.abs(u).max())
+        if not np.isfinite(amax) or amax > cfg.clamp:
+            raise BlowUpError(
+                f"state left trust region |u| <= {cfg.clamp} at step {k}",
+                step=k,
+                time=k * dt,
+            )
+        mean_series[k] = u.mean()
+        if snaps[si] == k:
+            states[si] = x
+            diag[si] = diagnose(x, u)
+            si += 1
+        if k == steps:
+            break
+        if stochastic:
+            j = k % block
+            if j == 0:
+                w = None  # release the last block before the next is drawn
+                w = kicks(rows(k, min(block, steps - k)))
+            x, u = step(w[j])
+        else:
+            x, u = step(None)
+
+    return TrajectoryRecord(
+        times=snaps * dt,
+        states=states,
+        dt=dt,
+        seed=path.seed if stochastic and path is not None else noise.seed,
+        diagnostics=dict(zip(DIAGNOSTICS, diag.T)),
+        mean_series=mean_series,
+        **record,
+    )
+
+
 def em_simulate_full(
     kernel: Kernel,
     grid: Grid,
@@ -335,107 +396,48 @@ def em_simulate_full(
 
     K is `build_operator_matrix(kernel, grid)`; pass it when it is already
     assembled, or it is assembled here.  dec is optional plumbing for
-    diagnostics (and required to map spectral noise onto the grid).
-
-    Noise arrives in blocks of NOISE_BLOCK_BYTES // (8 n) rows: drawn from
-    the stream derive_rng(noise.seed, 0) when path is None, sliced from
-    path.increments otherwise, so a run on sample_noise_increments(...) of
-    the same seed is identical to one without a path.  A spectral block
-    reaches the grid as one product xi_block @ (E b)^T.
+    diagnostics (and required to map spectral noise onto the grid).  A
+    spectral noise block reaches the grid as one product xi_block @ (E b)^T.
 
     Raises BlowUp when the state leaves the trust region |u| <= cfg.clamp.
     """
     _check_gain(gain)
     if cfg.u0.grid != grid:
         raise GridMismatchError("initial condition grid does not match run grid")
-    steps = cfg.n_steps
-    dt = cfg.dt
     if K is None:
         K = build_operator_matrix(kernel, grid)
     elif K.shape != (grid.n, grid.n):
         raise DimensionMismatchError(
             f"operator matrix has shape {K.shape}, grid has {grid.n} nodes"
         )
-    stochastic = cfg.epsilon > 0.0
-    if stochastic:
-        spectral = noise.mode == "spectral"
-        if spectral and dec is None:
-            raise RangeError(
-                "spectral noise needs the decomposition to reach the grid"
-            )
-        target, dim = (dec, dec.rank) if spectral else (grid, grid.n)
-        if path is None:
-            rng = derive_rng(noise.seed, 0)
+    target, dim = grid, grid.n
+    if noise.mode == "spectral" and cfg.epsilon > 0.0:
+        if dec is None:
+            raise RangeError("spectral noise needs the decomposition to reach the grid")
+        target, dim = dec, dec.rank
+        spread_t = (dec.eigenfields * noise.b_coeffs(dec)).T  # (r, n)
 
-            def noise_rows(k, m):
-                return sample_noise_increments(noise, target, dt, m, seed=rng).increments
-
-        else:
-            _check_path(path, "modes" if spectral else "grid", dt, steps, dim)
-
-            def noise_rows(k, m):
-                return path.increments[k : k + m, :dim]
-
-        if spectral:
-            spread_t = (dec.eigenfields * noise.b_coeffs(dec)).T  # (r, n)
-        block = max(1, NOISE_BLOCK_BYTES // (8 * grid.n))
-
-    kit = _DiagnosticsKit(grid, dec, gain, cfg.alpha)
-    snaps = _snapshot_indices(steps, cfg.record_every)
-    states = np.empty((snaps.size, grid.n))
-    diag = np.empty((snaps.size, 4))
-    mean_series = np.empty(steps + 1)
+    def kicks(xi):
+        if target is grid:
+            return cfg.epsilon * xi
+        kick = xi @ spread_t
+        kick *= cfg.epsilon
+        return kick
 
     u = cfg.u0.values.copy()
-    if float(np.abs(u).max()) > cfg.clamp:
-        raise BlowUpError("initial condition outside trust region", step=0, time=0.0)
-    mean_series[0] = u.mean()
-    si = 0
-    if snaps[0] == 0:
-        states[0] = u
-        diag[0] = kit.compute_grid(u)
-        si = 1
-    for k in range(steps):
-        du = dt * (-cfg.alpha * u + K @ gain.f(u))
-        if stochastic:
-            j = k % block
-            if j == 0:
-                xi = noise_rows(k, min(block, steps - k))
-                if spectral:
-                    kick = xi @ spread_t
-                    kick *= cfg.epsilon
-                else:
-                    kick = cfg.epsilon * xi
-            du += kick[j]
-        u = u + du
-        amax = float(np.abs(u).max())
-        if not np.isfinite(amax) or amax > cfg.clamp:
-            raise BlowUpError(
-                f"state left trust region |u| <= {cfg.clamp} at step {k + 1}",
-                step=k + 1,
-                time=(k + 1) * dt,
-            )
-        mean_series[k + 1] = u.mean()
-        if si < snaps.size and snaps[si] == k + 1:
-            states[si] = u
-            diag[si] = kit.compute_grid(u)
-            si += 1
 
-    return TrajectoryRecord(
-        kind="grid",
-        times=snaps * dt,
-        states=states,
-        dt=dt,
-        seed=path.seed if stochastic and path is not None else noise.seed,
-        integrator="em_full",
-        grid=grid,
-        diagnostics={
-            "mean": diag[:, 0],
-            "h_norm": diag[:, 1],
-            "hminus1_norm": diag[:, 2],
-            "theta": diag[:, 3],
-        },
-        mean_series=mean_series,
+    def step(w):
+        nonlocal u
+        du = cfg.dt * (-cfg.alpha * u + K @ gain.f(u))
+        if w is not None:
+            du += w
+        u = u + du
+        return u, u
+
+    return _integrate(
+        cfg, noise, path, target, dim, kicks, (u, u), step,
+        lambda x, u: _grid_diagnostics(gain, cfg.alpha, grid, dec, u),
+        kind="grid", integrator="em_full", grid=grid,
     )
 
 
@@ -451,7 +453,8 @@ def galerkin_simulate(
 
     The nonlinear term is lambda_i <F(U^N), e_i>_H with U^N the
     reconstruction from the evolving coefficients.  Noise must be spectral;
-    a wider shared path is truncated to the leading modes.
+    a wider shared path, or the full-rank stream, is truncated to the
+    leading modes.
     """
     _check_gain(gain)
     if noise.mode != "spectral":
@@ -461,70 +464,29 @@ def galerkin_simulate(
         raise RangeError(f"need n_modes >= 1, got {N}")
     if N > dec.rank:
         raise RankExceededError(f"{N} modes requested, {dec.rank} retained")
-    steps = cfg.n_steps
-    dt = cfg.dt
-    stochastic = cfg.epsilon > 0.0
-    if stochastic:
-        if path is None:
-            path = sample_noise_increments(noise, dec, dt, steps)
-        _check_path(path, "modes", dt, steps, N)
+    if cfg.epsilon > 0.0:
         b = noise.b_coeffs(dec)[:N]
 
     E = dec.eigenfields[:, :N]
     lam = dec.lambdas[:N]
     h = dec.grid.h
     c = dec.coeffs(cfg.u0)[:N]
-    u0_proj = E @ c
-    resid = norm_h(Field(dec.grid, cfg.u0.values - u0_proj))
+    u = E @ c
+    resid = norm_h(Field(dec.grid, cfg.u0.values - u))
 
-    kit = _DiagnosticsKit(dec.grid, dec, gain, cfg.alpha)
-    snaps = _snapshot_indices(steps, cfg.record_every)
-    states = np.empty((snaps.size, N))
-    diag = np.empty((snaps.size, 4))
-    mean_series = np.empty(steps + 1)
-
-    u = u0_proj
-    mean_series[0] = u.mean()
-    si = 0
-    if snaps[0] == 0:
-        states[0] = c
-        diag[0] = kit.compute_modes(c, u, lam)
-        si = 1
-    for k in range(steps):
-        dc = dt * (-cfg.alpha * c + lam * (h * (E.T @ gain.f(u))))
-        if stochastic:
-            dc += cfg.epsilon * (b * path.increments[k, :N])
+    def step(w):
+        nonlocal c, u
+        dc = cfg.dt * (-cfg.alpha * c + lam * (h * (E.T @ gain.f(u))))
+        if w is not None:
+            dc += w
         c = c + dc
         u = E @ c
-        amax = float(np.abs(u).max())
-        if not np.isfinite(amax) or amax > cfg.clamp:
-            raise BlowUpError(
-                f"state left trust region |u| <= {cfg.clamp} at step {k + 1}",
-                step=k + 1,
-                time=(k + 1) * dt,
-            )
-        mean_series[k + 1] = u.mean()
-        if si < snaps.size and snaps[si] == k + 1:
-            states[si] = c
-            diag[si] = kit.compute_modes(c, u, lam)
-            si += 1
+        return c, u
 
-    return TrajectoryRecord(
-        kind="modes",
-        times=snaps * dt,
-        states=states,
-        dt=dt,
-        seed=path.seed if stochastic and path is not None else noise.seed,
-        integrator="galerkin",
-        grid=dec.grid,
-        diagnostics={
-            "mean": diag[:, 0],
-            "h_norm": diag[:, 1],
-            "hminus1_norm": diag[:, 2],
-            "theta": diag[:, 3],
-        },
-        mean_series=mean_series,
-        projection_residual=resid,
+    return _integrate(
+        cfg, noise, path, dec, N, lambda xi: cfg.epsilon * (b * xi), (c, u), step,
+        lambda x, u: _mode_diagnostics(gain, cfg.alpha, h, x, u, lam),
+        kind="modes", integrator="galerkin", grid=dec.grid, projection_residual=resid,
     )
 
 
@@ -544,74 +506,43 @@ def doss_sussmann_simulate(
     _check_gain(gain)
     if noise.mode != "spectral":
         raise RangeError("the pathwise transform needs spectral noise")
-    steps = cfg.n_steps
-    dt = cfg.dt
-    r = dec.rank
-    stochastic = cfg.epsilon > 0.0
-    if path is None and stochastic:
-        path = sample_noise_increments(noise, dec, dt, steps)
-    if stochastic:
-        _check_path(path, "modes", dt, steps, r)
-        bw = (cfg.epsilon * noise.b_coeffs(dec)) * path.cumulative()[:, :r]
-    else:
-        bw = np.zeros((steps + 1, r))
+    if cfg.epsilon > 0.0:
+        eb = cfg.epsilon * noise.b_coeffs(dec)
 
     E = dec.eigenfields
     lam = dec.lambdas
     h = dec.grid.h
     y = dec.coeffs(cfg.u0)
     resid = norm_h(Field(dec.grid, cfg.u0.values - E @ y))
+    zero = np.zeros(dec.rank)
+    w_end = zero  # W at the end of the last block
 
-    kit = _DiagnosticsKit(dec.grid, dec, gain, cfg.alpha)
-    snaps = _snapshot_indices(steps, cfg.record_every)
-    states = np.empty((snaps.size, r))
-    diag = np.empty((snaps.size, 4))
-    mean_series = np.empty(steps + 1)
+    def kicks(xi):
+        # the running sum, added in order as np.cumsum does, so the rows
+        # are bitwise NoisePath.cumulative()'s
+        nonlocal w_end
+        bw = xi.copy()
+        bw[0] += w_end
+        np.cumsum(bw, axis=0, out=bw)
+        w_end = bw[-1].copy()
+        bw *= eb
+        return bw
 
-    v = y + bw[0]
-    uv = E @ v
-    mean_series[0] = uv.mean()
-    si = 0
-    if snaps[0] == 0:
-        states[0] = v
-        diag[0] = kit.compute_modes(v, uv, lam)
-        si = 1
-    for k in range(steps):
-        z = y + bw[k + 1]
-        uz = E @ z
+    def step(w):
         # -grad Theta at the shifted state, assembled exactly like the
         # mode-space EM drift
-        y = y + dt * (-cfg.alpha * z + lam * (h * (E.T @ gain.f(uz))))
-        v = y + bw[k + 1]
-        uv = E @ v
-        amax = float(np.abs(uv).max())
-        if not np.isfinite(amax) or amax > cfg.clamp:
-            raise BlowUpError(
-                f"state left trust region |u| <= {cfg.clamp} at step {k + 1}",
-                step=k + 1,
-                time=(k + 1) * dt,
-            )
-        mean_series[k + 1] = uv.mean()
-        if si < snaps.size and snaps[si] == k + 1:
-            states[si] = v
-            diag[si] = kit.compute_modes(v, uv, lam)
-            si += 1
+        nonlocal y
+        w = zero if w is None else w
+        z = y + w
+        y = y + cfg.dt * (-cfg.alpha * z + lam * (h * (E.T @ gain.f(E @ z))))
+        v = y + w
+        return v, E @ v
 
-    return TrajectoryRecord(
-        kind="modes",
-        times=snaps * dt,
-        states=states,
-        dt=dt,
-        seed=path.seed if stochastic else noise.seed,
-        integrator="doss_sussmann",
-        grid=dec.grid,
-        diagnostics={
-            "mean": diag[:, 0],
-            "h_norm": diag[:, 1],
-            "hminus1_norm": diag[:, 2],
-            "theta": diag[:, 3],
-        },
-        mean_series=mean_series,
+    v = y + zero
+    return _integrate(
+        cfg, noise, path, dec, dec.rank, kicks, (v, E @ v), step,
+        lambda x, u: _mode_diagnostics(gain, cfg.alpha, h, x, u, lam),
+        kind="modes", integrator="doss_sussmann", grid=dec.grid,
         projection_residual=resid,
     )
 
@@ -632,18 +563,21 @@ def convergence_table(
     order given."""
     if noise.mode != "spectral":
         raise RangeError("the truncation study needs spectral noise")
-    steps = cfg.n_steps
-    path = sample_noise_increments(noise, dec, cfg.dt, steps)
+    path = sample_noise_increments(noise, dec, cfg.dt, cfg.n_steps)
     ref = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec, path=path, K=K)
     rows = []
     for N in n_list:
-        N = int(N)
-        tr = galerkin_simulate(dec, gain, noise, cfg, n_modes=N, path=path)
-        E = dec.eigenfields[:, :N]
-        diff = ref.states - tr.states @ E.T
-        errs = np.sqrt(grid.h * np.sum(diff * diff, axis=1))
-        rows.append((N, float(errs.max())))
+        tr = galerkin_simulate(dec, gain, noise, cfg, n_modes=int(N), path=path)
+        rows.append((int(N), sup_h_distance(dec, ref, tr)))
     return rows
+
+
+def sup_h_distance(dec: SpectralDecomposition, grid_run, mode_run) -> float:
+    """Largest H-distance over the snapshots of a grid run and a mode run
+    recorded at the same times."""
+    E = dec.eigenfields[:, : mode_run.states.shape[1]]
+    diff = grid_run.states - mode_run.states @ E.T
+    return float(np.sqrt(dec.grid.h * np.sum(diff * diff, axis=1)).max())
 
 
 def invariance_monitor(
@@ -660,16 +594,13 @@ def invariance_monitor(
         lam = dec.lambdas[: traj.states.shape[1]]
         series = np.sum(traj.states * traj.states / lam, axis=1)
     else:
-        h = dec.grid.h
         series = np.empty(traj.times.size)
         for i, u in enumerate(traj.states):
-            c = h * (dec.eigenfields.T @ u)
-            hn = float(np.sqrt(h) * np.linalg.norm(u))
-            resid = np.sqrt(max(h * (u @ u) - float(c @ c), 0.0))
-            if resid > membership_tol * max(hn, np.finfo(float).tiny):
+            c, rel = s_residual(dec, Field(dec.grid, u))
+            if rel > membership_tol:
                 raise NotInSError(
                     f"snapshot {i} (t = {traj.times[i]:.6g}) is outside S: "
-                    f"relative residual {resid / max(hn, np.finfo(float).tiny):.3e}"
+                    f"relative residual {rel:.3e}"
                 )
             series[i] = float(np.sum(c * c / dec.lambdas))
     return float(series.max()), series
@@ -707,30 +638,21 @@ def detect_switches(traj: TrajectoryRecord, lower: float, upper: float) -> list:
 
 def write_trajectory_csv(traj: TrajectoryRecord, path):
     """One row per snapshot: t, diagnostics, then state columns (u_j for
-    grid runs, c_i for mode runs).  Shortest round-trip decimals."""
-    import csv as _csv
-
+    grid runs, c_i for mode runs)."""
     dim = traj.states.shape[1]
     if traj.kind == "grid":
         state_cols = [f"u_{j}" for j in range(dim)]
     else:
         state_cols = [f"c_{i}" for i in range(1, dim + 1)]
-    diag_keys = ["mean", "h_norm", "hminus1_norm", "theta"]
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["t", *diag_keys, *state_cols])
-        for i in range(traj.times.size):
-            row = [repr(float(traj.times[i]))]
-            row += [repr(float(traj.diagnostics[k][i])) for k in diag_keys]
-            row += [repr(float(v)) for v in traj.states[i]]
-            w.writerow(row)
+    write_csv(
+        path,
+        ["t", *DIAGNOSTICS, *state_cols],
+        (
+            [t, *(traj.diagnostics[k][i] for k in DIAGNOSTICS), *traj.states[i].tolist()]
+            for i, t in enumerate(traj.times.tolist())
+        ),
+    )
 
 
 def write_events_csv(events, path):
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["t", "direction"])
-        for t, direction in events:
-            w.writerow([repr(float(t)), direction])
+    write_csv(path, ["t", "direction"], events)

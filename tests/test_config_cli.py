@@ -250,20 +250,34 @@ def test_cli_simulate_outputs(tmp_path, capsys):
     assert "10 steps" in capsys.readouterr().out
 
 
-def test_cli_simulate_deterministic(tmp_path):
+def output_bytes(out):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+# the commands whose outputs depend on the noise seed; spectrum and the
+# eps = 0 energy trace do not
+SEEDED = ("check-kernel", "simulate", "galerkin-compare", "doss-sussmann-compare",
+          "gibbs-compare", "fig1")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_cli_simulate_deterministic(tmp_path, command):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    args = ["simulate", "--override", "sim.t_final=0.2",
-            "--override", "sim.epsilon=0.3"]
+    args = [command, "--override", "sim.t_final=0.2",
+            "--override", "sim.epsilon=0.3",
+            "--override", "gibbs.mcmc_steps=2000",
+            "--override", "gibbs.burn_in=200",
+            "--override", "gibbs.sde_t=50.0"]
     assert main(args + ["--out", str(a), "--seed", "5"]) == 0
     assert main(args + ["--out", str(b), "--seed", "5"]) == 0
     assert main(args + ["--out", str(c), "--seed", "6"]) == 0
-    ta = (a / "trajectory.csv").read_bytes()
-    assert ta == (b / "trajectory.csv").read_bytes()
-    assert ta != (c / "trajectory.csv").read_bytes()
+    ta = output_bytes(a)
+    assert ta and ta == output_bytes(b)
+    assert (ta != output_bytes(c)) == (command in SEEDED)
     # --seed is shorthand for overriding the noise seed
     d = tmp_path / "d"
     assert main(args + ["--out", str(d), "--override", "noise.seed=5"]) == 0
-    assert ta == (d / "trajectory.csv").read_bytes()
+    assert ta == output_bytes(d)
 
 
 def test_cli_energy_trace(tmp_path, capsys):
@@ -356,6 +370,30 @@ def test_cli_gibbs_compare(tmp_path, capsys):
     assert "max |z|" in capsys.readouterr().out
 
 
+def test_cli_gibbs_compare_verdict_counts_comparisons(tmp_path, capsys):
+    # seed 20 at the defaults: the largest of 2N = 4 z-scores exceeds 3,
+    # within the family-wise threshold 3.399 for correct code
+    assert main(["gibbs-compare", "--out", str(tmp_path), "--seed", "20"]) == 0
+    out = capsys.readouterr().out
+    z = float(out.split("max |z| = ")[1].split()[0])
+    assert 3.0 < z <= 3.399
+    assert "over 4 comparisons (agree at the Sidak threshold 3.399" in out
+
+
+def test_sidak_threshold_keeps_one_test_rate():
+    from statistics import NormalDist
+
+    assert abs(cli._sidak_threshold(1) - 3.0) < 1e-12
+    assert round(cli._sidak_threshold(4), 3) == 3.399
+    # the largest of m independent |z| stays below it with the probability
+    # that one |z| stays below 3
+    cdf = NormalDist().cdf
+    one = 1.0 - 2.0 * cdf(-3.0)
+    for m in (2, 4, 10):
+        inside = (1.0 - 2.0 * cdf(-cli._sidak_threshold(m))) ** m
+        assert abs(inside - one) < 1e-12
+
+
 def test_cli_gibbs_compare_needs_reversible_rule(tmp_path, capsys):
     code = main([
         "gibbs-compare", "--out", str(tmp_path),
@@ -432,6 +470,13 @@ def test_cli_os_error_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: FileExistsError:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["output.record_states=true", "galerkin.n_modes=0"])
+def test_cli_removed_keys_are_unknown(tmp_path, capsys, spec):
+    code = main(["simulate", "--out", str(tmp_path), "--override", spec])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: UnknownKeyError:")
 
 
 def test_cli_bad_override_names_it(tmp_path, capsys):

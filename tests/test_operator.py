@@ -29,6 +29,7 @@ from amariflow.errors import (
     NotNonnegativeError,
     RankExceededError,
 )
+from amariflow.operator import s_residual
 from conftest import constant_field, random_field_in_S
 
 CONSTANT_KERNEL = CosineSum(weights=(1.0,), freqs=(0.0,))  # J identically 1
@@ -175,6 +176,17 @@ def test_project_examples(gauss_setup):
     mixed = Field(grid, e1.values + q.values)
     _, residm = project_S(dec, mixed)
     assert abs(residm - norm_h(q)) < 1e-10
+
+
+def test_s_residual_is_relative(gauss_setup):
+    _, grid, dec = gauss_setup
+    e1 = Field(grid, dec.eigenfields[:, 0])
+    q = _orthogonal_direction(dec, grid)
+    c, rel = s_residual(dec, Field(grid, 3.0 * e1.values + 4.0 * q.values))
+    assert abs(rel - 0.8) < 1e-10
+    assert np.allclose(c, 3.0 * np.eye(dec.rank)[0], rtol=0, atol=1e-10)
+    assert s_residual(dec, e1)[1] < 1e-12
+    assert s_residual(dec, constant_field(grid, 0.0))[1] == 0.0
 
 
 def _orthogonal_direction(dec, grid):

@@ -209,26 +209,61 @@ def test_em_stochastic_determinism(gauss_setup):
     assert not np.array_equal(a.states, c.states)
 
 
-@pytest.mark.parametrize("mode", ["white", "spectral"])
-def test_em_streamed_noise_equals_explicit_path(gauss_setup, monkeypatch, mode):
+def run_scheme(scheme, kernel, grid, dec, gain, spec, cfg, **kw):
+    """One run of the scheme a test id names: "white" and "spectral" are
+    grid Euler-Maruyama with that noise."""
+    if scheme == "galerkin":
+        return galerkin_simulate(dec, gain, spec, cfg, **kw)
+    if scheme == "doss_sussmann":
+        return doss_sussmann_simulate(dec, gain, spec, cfg, **kw)
+    return em_simulate_full(kernel, grid, gain, spec, cfg, dec=dec, **kw)
+
+
+@pytest.mark.parametrize("scheme", ["white", "spectral", "galerkin", "doss_sussmann"])
+def test_em_streamed_noise_equals_explicit_path(gauss_setup, monkeypatch, scheme):
     kernel, grid, dec = gauss_setup
     # 7-row blocks: 500 steps end in a partial block
     monkeypatch.setattr(sde, "NOISE_BLOCK_BYTES", 7 * 8 * grid.n)
     cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=5.0,
                     u0=constant_field(grid, 0.0), record_every=37)
+    mode = "white" if scheme == "white" else "spectral"
     spec = NoiseSpec(mode=mode, rule=None if mode == "white" else "b_sq_eq_k", seed=5)
     path = sample_noise_increments(spec, grid if mode == "white" else dec,
                                    cfg.dt, cfg.n_steps)
-    a = em_simulate_full(kernel, grid, GainSpec("sigmoid"), spec, cfg, dec=dec)
-    b = em_simulate_full(kernel, grid, GainSpec("sigmoid"), spec, cfg, dec=dec, path=path)
+    # a truncated Galerkin run slices its modes off full-rank rows
+    kw = {"n_modes": 5} if scheme == "galerkin" else {}
+    a = run_scheme(scheme, kernel, grid, dec, GainSpec("sigmoid"), spec, cfg, **kw)
+    b = run_scheme(scheme, kernel, grid, dec, GainSpec("sigmoid"), spec, cfg, path=path, **kw)
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.mean_series, b.mean_series)
     monkeypatch.setattr(sde, "NOISE_BLOCK_BYTES", 2**20)
-    c = em_simulate_full(kernel, grid, GainSpec("sigmoid"), spec, cfg, dec=dec)
-    if mode == "white":
-        assert np.array_equal(a.states, c.states)
-    else:
+    c = run_scheme(scheme, kernel, grid, dec, GainSpec("sigmoid"), spec, cfg, **kw)
+    if scheme == "spectral":
         assert np.allclose(a.states, c.states, rtol=0, atol=1e-13)
+    else:
+        # elementwise kicks, and a running sum carried across blocks
+        assert np.array_equal(a.states, c.states)
+
+
+def test_pathwise_run_reads_the_cumulative_path(gauss_setup, monkeypatch):
+    kernel, grid, dec = gauss_setup
+    monkeypatch.setattr(sde, "NOISE_BLOCK_BYTES", 7 * 8 * grid.n)
+    spec = NoiseSpec(seed=8)
+    gain = GainSpec("sigmoid")
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=1.0,
+                    u0=constant_field(grid, 0.2))
+    tr = doss_sussmann_simulate(dec, gain, spec, cfg)
+    # the recursion on the whole path's running sum, step by step
+    path = sample_noise_increments(spec, dec, cfg.dt, cfg.n_steps)
+    bw = (cfg.epsilon * spec.b_coeffs(dec)) * path.cumulative()
+    E, lam, h = dec.eigenfields, dec.lambdas, grid.h
+    y = dec.coeffs(cfg.u0)
+    vs = [y + bw[0]]
+    for k in range(cfg.n_steps):
+        z = y + bw[k + 1]
+        y = y + cfg.dt * (-cfg.alpha * z + lam * (h * (E.T @ gain.f(E @ z))))
+        vs.append(y + bw[k + 1])
+    assert np.array_equal(tr.states, np.array(vs))
 
 
 def test_em_takes_the_assembled_operator(gauss_setup):
@@ -304,7 +339,8 @@ def test_blowup_step_mid_block(periodic_setup, monkeypatch):
     assert err.value.time == expect * cfg.dt
 
 
-def test_streamed_run_holds_a_block_not_the_path():
+@pytest.mark.parametrize("scheme", ["em", "galerkin", "doss_sussmann"])
+def test_streamed_run_holds_a_block_not_the_path(scheme):
     kernel = Gaussian(width=0.01)
     grid = Grid(-4.0, 4.0, 512)
     K = build_operator_matrix(kernel, grid)
@@ -312,15 +348,26 @@ def test_streamed_run_holds_a_block_not_the_path():
     cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=150.0,
                     u0=constant_field(grid, 0.0), record_every=100000)
     path_bytes = cfg.n_steps * dec.rank * 8
+    kw = {"K": K} if scheme == "em" else {}
     tracemalloc.start()
     try:
-        em_simulate_full(kernel, grid, GainSpec("sigmoid"), NoiseSpec(), cfg,
-                         dec=dec, K=K)
+        run_scheme(scheme, kernel, grid, dec, GainSpec("sigmoid"), NoiseSpec(), cfg, **kw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert path_bytes > 20e6
     assert peak < path_bytes / 5
+
+
+@pytest.mark.parametrize("scheme", ["galerkin", "doss_sussmann"])
+def test_mode_schemes_check_their_start(gauss_setup, scheme):
+    kernel, grid, dec = gauss_setup
+    gain = GainSpec("cubic", allow_non_lipschitz=True)
+    cfg = SimConfig(alpha=1.0, epsilon=0.0, dt=0.01, t_final=1.0,
+                    u0=dec.reconstruct([20.0]), clamp=1.0)
+    with pytest.raises(BlowUpError) as err:
+        run_scheme(scheme, kernel, grid, dec, gain, NoiseSpec(), cfg)
+    assert (err.value.step, err.value.time) == (0, 0.0)
 
 
 def test_snapshot_thinning(gauss_setup):
