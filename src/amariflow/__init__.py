@@ -11,6 +11,7 @@ from .config import (
 )
 from .energy import (
     GainSpec,
+    ModeFlow,
     fd_directional,
     grad_theta,
     nemytskii_F,

@@ -20,20 +20,19 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import config as cfgmod
-from .energy import theta_functional
 from .errors import NumericalError, ValidationError
 from .ergodic import (
     GibbsTarget,
     compare_measures,
     ergodic_moments,
+    familywise_verdict,
     rw_metropolis,
     write_moment_report_jsonl,
     write_samples_csv,
 )
-from .kernels import Verdict, bochner_numeric_check, gram_min_eigenvalue
+from .kernels import bochner_numeric_check, gram_min_eigenvalue
 from .operator import (
     build_operator_matrix,
     spectral_decompose,
@@ -51,17 +50,6 @@ from .sde import (
     sup_h_distance,
     write_events_csv,
     write_trajectory_csv,
-)
-
-COMMANDS = (
-    "check-kernel",
-    "spectrum",
-    "simulate",
-    "galerkin-compare",
-    "energy-trace",
-    "doss-sussmann-compare",
-    "gibbs-compare",
-    "fig1",
 )
 
 # Largest per-step Theta increase that energy-trace still reads as
@@ -236,13 +224,6 @@ def _cmd_ds_compare(cfg, out: Path) -> int:
     return 0
 
 
-def _sidak_threshold(n_tests: int) -> float:
-    """|z| threshold for the largest of n_tests independent standard normal
-    scores with the false-alarm rate of one 3-SE test (Sidak): 3.399 for 4."""
-    per_test = -np.expm1(np.log1p(-2.0 * ndtr(-3.0)) / n_tests)
-    return float(-ndtri(per_test / 2.0))
-
-
 def _cmd_gibbs_compare(cfg, out: Path) -> int:
     _, _, _, dec, gain, noise, sim = _setup(cfg)
     if noise.mode != "spectral" or noise.rule != "b_sq_eq_k":
@@ -270,12 +251,12 @@ def _cmd_gibbs_compare(cfg, out: Path) -> int:
     m_sde = ergodic_moments(traj, burn_in=int(cfg.get("gibbs", "sde_burn_in")))
     report = compare_measures(m_mcmc, m_sde)
     write_moment_report_jsonl(report, out / "moment_report.jsonl")
-    n_tests = report.mean_z.size + report.var_z.size
-    limit = _sidak_threshold(n_tests)
+    verdict = familywise_verdict(report)
     print(
         f"MCMC acceptance {acc:.3f}; max |z| = {report.max_abs_z:.3f} over "
-        f"{n_tests} comparisons ({'agree' if report.max_abs_z <= limit else 'DISAGREE'} "
-        f"at the Sidak threshold {limit:.3f}, 3 SE for one)"
+        f"{verdict['n_comparisons']} comparisons "
+        f"({'agree' if verdict['familywise_passed'] else 'DISAGREE'} at the Sidak "
+        f"threshold {verdict['familywise_threshold']:.3f}, 3 SE for one)"
     )
     return 0
 
@@ -290,6 +271,7 @@ _DISPATCH = {
     "gibbs-compare": _cmd_gibbs_compare,
     "fig1": _cmd_simulate,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def main(argv=None) -> int:

@@ -118,9 +118,50 @@ def nemytskii_F(gain: GainSpec, u: Field) -> Field:
     return Field(u.grid, gain.f(u.values))
 
 
+def _check_alpha(alpha: float):
+    if not (np.isfinite(alpha) and alpha > 0.0):
+        raise RangeError(f"alpha must be positive, got {alpha!r}")
+
+
+def _phi(gain: GainSpec, h: float, u) -> float:
+    """Phi = h sum phi(u) of grid values u: the midpoint rule."""
+    return float(h * np.sum(gain.phi(u)))
+
+
+def _psi(dec: SpectralDecomposition, alpha: float, c) -> float:
+    """Psi = (alpha/2) ||c||_-1^2 of mode coefficients c on dec's modes."""
+    return 0.5 * alpha * float(dec.hminus1_sq(c))
+
+
+class ModeFlow:
+    """The gradient structure on the modes of dec (a decomposition or its
+    truncation to the leading N modes): Theta_N and the mode drift
+    -Lambda grad Theta_N.  c are mode coefficients on those modes and u
+    their grid values, u = E c for a state in S.  E, lambda and h are
+    resolved once, here, not on every call.
+    """
+
+    def __init__(self, dec: SpectralDecomposition, gain: GainSpec, alpha: float):
+        _check_alpha(alpha)
+        self.dec, self.gain, self.alpha = dec, gain, alpha
+        self._E, self._lam, self._h = dec.eigenfields, dec.lambdas, dec.grid.h
+
+    def theta(self, c, u) -> float:
+        """Theta_N = -Phi(u) + Psi(c)."""
+        return -_phi(self.gain, self._h, u) + _psi(self.dec, self.alpha, c)
+
+    def nonlocal_part(self, u) -> np.ndarray:
+        """lambda_i <F(u), e_i>_H: the coefficients of K F(u) through the modes."""
+        return self._lam * (self._h * (self._E.T @ self.gain.f(u)))
+
+    def drift(self, c, u) -> np.ndarray:
+        """-Lambda grad Theta_N = -alpha c + lambda_i <F(u), e_i>_H."""
+        return -self.alpha * c + self.nonlocal_part(u)
+
+
 def phi_functional(gain: GainSpec, u: Field) -> float:
     """Phi(u) = integral phi(u(x)) dx by the midpoint rule."""
-    return float(u.grid.h * np.sum(gain.phi(u.values)))
+    return _phi(gain, u.grid.h, u.values)
 
 
 def psi_functional(
@@ -130,10 +171,8 @@ def psi_functional(
     membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> float:
     """Psi(u) = (alpha/2) ||u||_-1^2; requires u in S."""
-    if alpha <= 0.0:
-        raise RangeError(f"alpha must be positive, got {alpha!r}")
-    c = _coeffs_in_S(dec, u, membership_tol)
-    return float(0.5 * alpha * np.sum(c * c / dec.lambdas))
+    _check_alpha(alpha)
+    return _psi(dec, alpha, _coeffs_in_S(dec, u, membership_tol))
 
 
 def theta_functional(
@@ -144,7 +183,8 @@ def theta_functional(
     membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
 ) -> float:
     """Theta(u) = -Phi(u) + Psi(u), the Lyapunov functional of the flow."""
-    return -phi_functional(gain, u) + psi_functional(dec, alpha, u, membership_tol)
+    flow = ModeFlow(dec, gain, alpha)
+    return flow.theta(_coeffs_in_S(dec, u, membership_tol), u.values)
 
 
 def grad_theta(
@@ -157,15 +197,12 @@ def grad_theta(
     """Riesz gradient of Theta in the (., .)_-1 product: alpha*u - K F(u).
 
     K is applied through the retained modes, so the result lies in S (up to
-    u's own membership tolerance).  The negated gradient is exactly the
-    drift the integrators assemble.
+    u's own membership tolerance).  Its mode coefficients are
+    -ModeFlow.drift, the drift the integrators assemble.
     """
-    if alpha <= 0.0:
-        raise RangeError(f"alpha must be positive, got {alpha!r}")
+    flow = ModeFlow(dec, gain, alpha)
     _coeffs_in_S(dec, u, membership_tol)
-    fu = gain.f(u.values)
-    kf = dec.eigenfields @ (dec.lambdas * (dec.grid.h * (dec.eigenfields.T @ fu)))
-    return Field(u.grid, alpha * u.values - kf)
+    return Field(u.grid, alpha * u.values - dec.eigenfields @ flow.nonlocal_part(u.values))
 
 
 def fd_directional(functional, u: Field, direction: Field, t: float) -> float:

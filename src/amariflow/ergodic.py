@@ -21,42 +21,34 @@ file formats label modes 1-based like the CSV column names c_1..c_N.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .energy import GainSpec
-from .errors import (
-    DimensionMismatchError,
-    InsufficientDataError,
-    RangeError,
-    RankExceededError,
-)
+from .energy import GainSpec, ModeFlow
+from .errors import DimensionMismatchError, InsufficientDataError, RangeError
 from .operator import SpectralDecomposition, write_csv
 from .rng import derive_rng
 
 
 @dataclass(frozen=True, eq=False)
 class GibbsTarget:
-    """Unnormalized finite-mode Gibbs measure on the leading n_modes."""
+    """Unnormalized finite-mode Gibbs measure on the leading n_modes.
+    flow is the gradient structure on those modes (dec.truncate(n_modes))."""
 
     dec: SpectralDecomposition
     gain: GainSpec
     alpha: float
     epsilon: float
     n_modes: int
+    flow: ModeFlow = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise RangeError(f"alpha must be positive, got {self.alpha!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
             raise RangeError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.n_modes < 1:
-            raise RangeError(f"need n_modes >= 1, got {self.n_modes!r}")
-        if self.n_modes > self.dec.rank:
-            raise RankExceededError(
-                f"{self.n_modes} modes requested, {self.dec.rank} retained"
-            )
+        flow = ModeFlow(self.dec.truncate(self.n_modes), self.gain, self.alpha)
+        object.__setattr__(self, "flow", flow)
 
     def _check_point(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -70,23 +62,21 @@ class GibbsTarget:
 def gibbs_log_density(target: GibbsTarget, u) -> float:
     """log pi(u) = -2 eps^(-2) Theta_N(u), up to the normalizing constant."""
     u = target._check_point(u)
-    dec, gain = target.dec, target.gain
-    E = dec.eigenfields[:, : target.n_modes]
-    lam = dec.lambdas[: target.n_modes]
-    U = E @ u
-    phi = float(dec.grid.h * np.sum(gain.phi(U)))
-    theta = -phi + 0.5 * target.alpha * float(np.sum(u * u / lam))
+    flow = target.flow
+    theta = flow.theta(u, flow.dec.eigenfields @ u)
     return -2.0 * theta / (target.epsilon * target.epsilon)
 
 
 def gibbs_log_density_grad(target: GibbsTarget, u) -> np.ndarray:
-    """Exact gradient: d_i log pi = -2 eps^(-2) (alpha u_i/lambda_i - <F(U), e_i>_H)."""
+    """Exact gradient: d_i log pi = -2 eps^(-2) (alpha u_i/lambda_i - <F(U), e_i>_H).
+
+    Written out on its own, not through ModeFlow: it is the reference that
+    detailed_balance_residual checks the shared drift against."""
     u = target._check_point(u)
-    dec, gain = target.dec, target.gain
-    E = dec.eigenfields[:, : target.n_modes]
-    lam = dec.lambdas[: target.n_modes]
-    fU = gain.f(E @ u)
-    inner = dec.grid.h * (E.T @ fU)
+    modes = target.flow.dec
+    E, lam = modes.eigenfields, modes.lambdas
+    fU = target.gain.f(E @ u)
+    inner = modes.grid.h * (E.T @ fU)
     return -2.0 / (target.epsilon * target.epsilon) * (target.alpha * u / lam - inner)
 
 
@@ -112,11 +102,8 @@ def detailed_balance_residual(target: GibbsTarget, b_coeffs, u) -> float:
         raise DimensionMismatchError(
             f"b shape {b.shape} does not match n_modes = {target.n_modes}"
         )
-    dec, gain = target.dec, target.gain
-    E = dec.eigenfields[:, : target.n_modes]
-    lam = dec.lambdas[: target.n_modes]
-    fU = gain.f(E @ u)
-    drift = -target.alpha * u + lam * (dec.grid.h * (E.T @ fU))
+    flow = target.flow
+    drift = flow.drift(u, flow.dec.eigenfields @ u)
     rhs = 0.5 * target.epsilon**2 * b * b * gibbs_log_density_grad(target, u)
     return float(np.abs(drift - rhs).max())
 
@@ -255,6 +242,23 @@ def compare_measures(a, b, threshold: float = 3.0) -> MomentReport:
     )
 
 
+def sidak_threshold(n_tests: int) -> float:
+    """|z| threshold for the largest of n_tests independent standard normal
+    scores with the false-alarm rate of one 3-SE test (Sidak): 3.399 for 4."""
+    per_test = -np.expm1(np.log1p(-2.0 * ndtr(-3.0)) / n_tests)
+    return float(-ndtri(per_test / 2.0))
+
+
+def familywise_verdict(report: MomentReport) -> dict:
+    """The report's 2N comparisons, their Sidak threshold, and whether max
+    |z| is within it: the verdict on all of them that `passed` (one 3-SE
+    test per score) is not."""
+    n = int(report.mean_z.size + report.var_z.size)
+    limit = sidak_threshold(n)
+    return {"n_comparisons": n, "familywise_threshold": limit,
+            "familywise_passed": bool(report.max_abs_z <= limit)}
+
+
 def write_samples_csv(samples: np.ndarray, path):
     """Rows `step, c_1..c_N`."""
     samples = np.asarray(samples, dtype=float)
@@ -266,7 +270,8 @@ def write_samples_csv(samples: np.ndarray, path):
 
 
 def write_moment_report_jsonl(report: MomentReport, path):
-    """One JSON record per mode plus a trailing summary record."""
+    """One JSON record per mode, then a summary record: max |z|, passed,
+    and the familywise_verdict."""
     with open(path, "w") as fh:
         for i in range(report.mean_z.size):
             rec = {
@@ -283,10 +288,5 @@ def write_moment_report_jsonl(report: MomentReport, path):
                 "z_var": float(report.var_z[i]),
             }
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        fh.write(
-            json.dumps(
-                {"max_abs_z": report.max_abs_z, "passed": report.passed},
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        summary = {"max_abs_z": report.max_abs_z, "passed": report.passed}
+        fh.write(json.dumps(summary | familywise_verdict(report), sort_keys=True) + "\n")

@@ -189,6 +189,25 @@ class SpectralDecomposition:
             raise GridMismatchError("field grid does not match decomposition grid")
         return self.grid.h * (self.eigenfields.T @ g.values)
 
+    def truncate(self, n_modes: int) -> "SpectralDecomposition":
+        """The leading n_modes eigenpairs as views of these arrays, not
+        copies; discarded_max becomes lambda_(n_modes+1) when modes are cut."""
+        if n_modes < 1:
+            raise RangeError(f"need n_modes >= 1, got {n_modes}")
+        if n_modes > self.rank:
+            raise RankExceededError(f"{n_modes} modes requested, {self.rank} retained")
+        if n_modes == self.rank:
+            return self
+        return SpectralDecomposition(
+            self.grid, self.lambdas[:n_modes], self.eigenfields[:, :n_modes],
+            self.threshold, float(self.lambdas[n_modes]),
+        )
+
+    def hminus1_sq(self, c):
+        """||g||_-1^2 = sum_i c_i^2 / lambda_i of the field in S with mode
+        coefficients c (the last axis; one value per row of a 2-d c)."""
+        return np.sum(c * c / self.lambdas, axis=-1)
+
     def reconstruct(self, c) -> Field:
         c = np.asarray(c, dtype=float)
         if c.ndim != 1:
@@ -279,8 +298,7 @@ def norm_hminus1(
     dec: SpectralDecomposition, g: Field, membership_tol: float = DEFAULT_MEMBERSHIP_TOL
 ) -> float:
     """Nonlocal norm ||K^(-1/2) g||_H; requires g in S within membership_tol."""
-    c = _coeffs_in_S(dec, g, membership_tol)
-    return float(np.sqrt(np.sum(c * c / dec.lambdas)))
+    return float(np.sqrt(dec.hminus1_sq(_coeffs_in_S(dec, g, membership_tol))))
 
 
 def inner_hminus1(

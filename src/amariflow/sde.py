@@ -41,14 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import GainSpec
+from .energy import GainSpec, ModeFlow
 from .errors import (
     BlowUpError,
     DimensionMismatchError,
     GridMismatchError,
     NotInSError,
     RangeError,
-    RankExceededError,
 )
 from .kernels import Kernel
 from .operator import (
@@ -266,24 +265,23 @@ def _snapshot_indices(steps: int, record_every: int) -> np.ndarray:
     return np.unique(np.append(np.arange(0, steps + 1, record_every), steps))
 
 
-def _mode_diagnostics(gain, alpha, h, c, u, lambdas, hn=None):
-    """The DIAGNOSTICS of a state in S with mode coefficients c and grid
-    values u; hn, its H norm, defaults to |c|."""
-    hm1sq = float(np.sum(c * c / lambdas))
-    phi = float(h * np.sum(gain.phi(u)))
+def _mode_diagnostics(flow: ModeFlow, c, u, hn=None):
+    """The DIAGNOSTICS of a state in S with mode coefficients c on the
+    flow's modes and grid values u; hn, its H norm, defaults to |c|."""
     hn = float(np.sqrt(np.sum(c * c))) if hn is None else hn
-    return float(u.mean()), hn, float(np.sqrt(hm1sq)), -phi + 0.5 * alpha * hm1sq
+    hm1sq = float(flow.dec.hminus1_sq(c))
+    return float(u.mean()), hn, float(np.sqrt(hm1sq)), flow.theta(c, u)
 
 
-def _grid_diagnostics(gain, alpha, grid, dec, u):
+def _grid_diagnostics(flow: ModeFlow | None, grid, u):
     """The DIAGNOSTICS of grid values u, with NaN nonlocal norm and
-    Lyapunov value when u is not resolvable in S (stochastic grid states
-    have white components outside S; that is expected, not an error)."""
+    Lyapunov value without a flow or when u is not resolvable in S (grid
+    noise has white components outside S: expected, not an error)."""
     hn = float(np.sqrt(grid.h) * np.linalg.norm(u))
-    if dec is not None:
-        c, rel = s_residual(dec, Field(grid, u))
+    if flow is not None:
+        c, rel = s_residual(flow.dec, Field(grid, u))
         if rel <= DEFAULT_MEMBERSHIP_TOL:
-            return _mode_diagnostics(gain, alpha, grid.h, c, u, dec.lambdas, hn)
+            return _mode_diagnostics(flow, c, u, hn)
     return float(u.mean()), hn, np.nan, np.nan
 
 
@@ -434,9 +432,10 @@ def em_simulate_full(
         u = u + du
         return u, u
 
+    flow = None if dec is None else ModeFlow(dec, gain, cfg.alpha)
     return _integrate(
         cfg, noise, path, target, dim, kicks, (u, u), step,
-        lambda x, u: _grid_diagnostics(gain, cfg.alpha, grid, dec, u),
+        lambda x, u: _grid_diagnostics(flow, grid, u),
         kind="grid", integrator="em_full", grid=grid,
     )
 
@@ -459,24 +458,20 @@ def galerkin_simulate(
     _check_gain(gain)
     if noise.mode != "spectral":
         raise RangeError("mode-truncated runs need spectral noise")
-    N = dec.rank if n_modes is None else int(n_modes)
-    if N < 1:
-        raise RangeError(f"need n_modes >= 1, got {N}")
-    if N > dec.rank:
-        raise RankExceededError(f"{N} modes requested, {dec.rank} retained")
+    modes = dec.truncate(dec.rank if n_modes is None else int(n_modes))
+    N = modes.rank
     if cfg.epsilon > 0.0:
         b = noise.b_coeffs(dec)[:N]
 
-    E = dec.eigenfields[:, :N]
-    lam = dec.lambdas[:N]
-    h = dec.grid.h
+    flow = ModeFlow(modes, gain, cfg.alpha)
+    drift, E = flow.drift, modes.eigenfields
     c = dec.coeffs(cfg.u0)[:N]
     u = E @ c
     resid = norm_h(Field(dec.grid, cfg.u0.values - u))
 
     def step(w):
         nonlocal c, u
-        dc = cfg.dt * (-cfg.alpha * c + lam * (h * (E.T @ gain.f(u))))
+        dc = cfg.dt * drift(c, u)
         if w is not None:
             dc += w
         c = c + dc
@@ -485,7 +480,7 @@ def galerkin_simulate(
 
     return _integrate(
         cfg, noise, path, dec, N, lambda xi: cfg.epsilon * (b * xi), (c, u), step,
-        lambda x, u: _mode_diagnostics(gain, cfg.alpha, h, x, u, lam),
+        lambda x, u: _mode_diagnostics(flow, x, u),
         kind="modes", integrator="galerkin", grid=dec.grid, projection_residual=resid,
     )
 
@@ -509,9 +504,8 @@ def doss_sussmann_simulate(
     if cfg.epsilon > 0.0:
         eb = cfg.epsilon * noise.b_coeffs(dec)
 
-    E = dec.eigenfields
-    lam = dec.lambdas
-    h = dec.grid.h
+    flow = ModeFlow(dec, gain, cfg.alpha)
+    drift, E = flow.drift, dec.eigenfields
     y = dec.coeffs(cfg.u0)
     resid = norm_h(Field(dec.grid, cfg.u0.values - E @ y))
     zero = np.zeros(dec.rank)
@@ -529,19 +523,18 @@ def doss_sussmann_simulate(
         return bw
 
     def step(w):
-        # -grad Theta at the shifted state, assembled exactly like the
-        # mode-space EM drift
+        # the mode drift -Lambda grad Theta_N at the shifted state
         nonlocal y
         w = zero if w is None else w
         z = y + w
-        y = y + cfg.dt * (-cfg.alpha * z + lam * (h * (E.T @ gain.f(E @ z))))
+        y = y + cfg.dt * drift(z, E @ z)
         v = y + w
         return v, E @ v
 
     v = y + zero
     return _integrate(
         cfg, noise, path, dec, dec.rank, kicks, (v, E @ v), step,
-        lambda x, u: _mode_diagnostics(gain, cfg.alpha, h, x, u, lam),
+        lambda x, u: _mode_diagnostics(flow, x, u),
         kind="modes", integrator="doss_sussmann", grid=dec.grid,
         projection_residual=resid,
     )
@@ -575,7 +568,7 @@ def convergence_table(
 def sup_h_distance(dec: SpectralDecomposition, grid_run, mode_run) -> float:
     """Largest H-distance over the snapshots of a grid run and a mode run
     recorded at the same times."""
-    E = dec.eigenfields[:, : mode_run.states.shape[1]]
+    E = dec.truncate(mode_run.states.shape[1]).eigenfields
     diff = grid_run.states - mode_run.states @ E.T
     return float(np.sqrt(dec.grid.h * np.sum(diff * diff, axis=1)).max())
 
@@ -591,8 +584,7 @@ def invariance_monitor(
     otherwise); mode snapshots are in S by construction.
     """
     if traj.kind == "modes":
-        lam = dec.lambdas[: traj.states.shape[1]]
-        series = np.sum(traj.states * traj.states / lam, axis=1)
+        series = dec.truncate(traj.states.shape[1]).hminus1_sq(traj.states)
     else:
         series = np.empty(traj.times.size)
         for i, u in enumerate(traj.states):
@@ -602,7 +594,7 @@ def invariance_monitor(
                     f"snapshot {i} (t = {traj.times[i]:.6g}) is outside S: "
                     f"relative residual {rel:.3e}"
                 )
-            series[i] = float(np.sum(c * c / dec.lambdas))
+            series[i] = dec.hminus1_sq(c)
     return float(series.max()), series
 
 

@@ -19,6 +19,7 @@ from amariflow.config import (
     preset_fig1,
     serialize_config,
 )
+from amariflow.ergodic import sidak_threshold
 from amariflow.errors import ParseError, RangeError, UnknownKeyError
 
 
@@ -378,19 +379,26 @@ def test_cli_gibbs_compare_verdict_counts_comparisons(tmp_path, capsys):
     z = float(out.split("max |z| = ")[1].split()[0])
     assert 3.0 < z <= 3.399
     assert "over 4 comparisons (agree at the Sidak threshold 3.399" in out
+    # the report's last line carries the same verdict next to the 3-SE one
+    summary = json.loads((tmp_path / "moment_report.jsonl").read_text().splitlines()[-1])
+    assert summary["max_abs_z"] == pytest.approx(z, abs=5e-4)
+    assert summary["passed"] is False
+    assert summary["n_comparisons"] == 4
+    assert round(summary["familywise_threshold"], 3) == 3.399
+    assert summary["familywise_passed"] is True
 
 
 def test_sidak_threshold_keeps_one_test_rate():
     from statistics import NormalDist
 
-    assert abs(cli._sidak_threshold(1) - 3.0) < 1e-12
-    assert round(cli._sidak_threshold(4), 3) == 3.399
+    assert abs(sidak_threshold(1) - 3.0) < 1e-12
+    assert round(sidak_threshold(4), 3) == 3.399
     # the largest of m independent |z| stays below it with the probability
     # that one |z| stays below 3
     cdf = NormalDist().cdf
     one = 1.0 - 2.0 * cdf(-3.0)
     for m in (2, 4, 10):
-        inside = (1.0 - 2.0 * cdf(-cli._sidak_threshold(m))) ** m
+        inside = (1.0 - 2.0 * cdf(-sidak_threshold(m))) ** m
         assert abs(inside - one) < 1e-12
 
 

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from amariflow import (
     Field,
     GainSpec,
+    ModeFlow,
     fd_directional,
     grad_theta,
     inner_h,
@@ -214,6 +218,32 @@ def test_gradient_matches_fd_property(gauss_setup):
             ref = inner_hminus1(dec, grad_theta(dec, gain, alpha, u), h)
             d = fd_directional(func, u, h, 1e-4)
             assert abs(d - ref) <= 1e-5 * max(abs(ref), 1e-12)
+
+
+@pytest.mark.parametrize("n_modes", [3, None])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    gain=st.sampled_from(ALL_GAINS),
+    x=arrays(np.float64, 36, elements=st.floats(-2.0, 2.0)),
+)
+def test_mode_drift_is_minus_lambda_grad_theta(gauss_setup, n_modes, gain, x):
+    # the drift the integrators step is -lambda_i dTheta_N/dc_i, by central
+    # differences of the same flow's Theta_N, at full rank and truncated
+    _, _, dec = gauss_setup
+    assert dec.rank == x.size
+    modes = dec.truncate(dec.rank if n_modes is None else n_modes)
+    flow = ModeFlow(modes, gain, 0.8)
+    E, lam = modes.eigenfields, modes.lambdas
+    c = np.sqrt(lam) * x[: modes.rank]
+    fd = np.empty(modes.rank)
+    for i in range(modes.rank):
+        t = 1e-4 * np.sqrt(lam[i])
+        up, dn = c.copy(), c.copy()
+        up[i] += t
+        dn[i] -= t
+        fd[i] = (flow.theta(up, E @ up) - flow.theta(dn, E @ dn)) / (2.0 * t)
+    err = np.abs(flow.drift(c, E @ c) + lam * fd)
+    assert np.all(err <= 1e-7 * np.sqrt(lam)), (err / np.sqrt(lam)).max()
 
 
 def test_rangeerror_on_nonpositive_fd_step(gauss_setup):

@@ -21,6 +21,7 @@ from amariflow import (
     write_moment_report_jsonl,
     write_samples_csv,
 )
+from amariflow.ergodic import sidak_threshold
 from amariflow.errors import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -281,4 +282,7 @@ def test_moment_report_jsonl(tmp_path):
                           "z_mean", "var_a", "se_var_a", "var_b", "se_var_b",
                           "z_var"}
     summary = json.loads(lines[-1])
-    assert summary == {"max_abs_z": rep.max_abs_z, "passed": rep.passed}
+    assert summary == {"max_abs_z": rep.max_abs_z, "passed": rep.passed,
+                       "n_comparisons": 4,
+                       "familywise_threshold": sidak_threshold(4),
+                       "familywise_passed": rep.max_abs_z <= sidak_threshold(4)}

@@ -27,6 +27,7 @@ from amariflow.errors import (
     NonpositiveEigenvalueError,
     NotInSError,
     NotNonnegativeError,
+    RangeError,
     RankExceededError,
 )
 from amariflow.operator import s_residual
@@ -208,6 +209,35 @@ def test_hminus1_norm_on_eigenfields(gauss_setup):
         assert abs(norm_hminus1(dec, e) - lam ** (-0.5)) < 1e-10
         scaled = Field(grid, np.sqrt(lam) * dec.eigenfields[:, i])
         assert abs(norm_hminus1(dec, scaled) - 1.0) < 1e-10
+
+
+def test_truncate_is_a_view_of_the_leading_modes(gauss_setup):
+    _, _, dec = gauss_setup
+    N = 5
+    t = dec.truncate(N)
+    assert t.rank == N
+    assert np.shares_memory(t.lambdas, dec.lambdas)
+    assert np.shares_memory(t.eigenfields, dec.eigenfields)
+    assert np.array_equal(t.eigenfields, dec.eigenfields[:, :N])
+    assert t.discarded_max == dec.lambdas[N]
+    assert t.grid == dec.grid and t.threshold == dec.threshold
+    assert dec.truncate(dec.rank) is dec
+    with pytest.raises(RangeError, match="need n_modes >= 1, got 0"):
+        dec.truncate(0)
+    too_many = f"{dec.rank + 1} modes requested, {dec.rank} retained"
+    with pytest.raises(RankExceededError, match=too_many):
+        dec.truncate(dec.rank + 1)
+
+
+def test_hminus1_sq_per_row(gauss_setup):
+    # ||c||_-1^2 of a 2-d c is one value per row, each that row's own sum
+    _, _, dec = gauss_setup
+    c = np.random.default_rng(4).normal(size=(3, dec.rank)) * np.sqrt(dec.lambdas)
+    rows = dec.hminus1_sq(c)
+    assert rows.shape == (3,)
+    for row, value in zip(c, rows):
+        assert value == dec.hminus1_sq(row)
+        assert value == pytest.approx(norm_hminus1(dec, dec.reconstruct(row)) ** 2, rel=1e-9)
 
 
 def test_hminus1_rejects_outside_subspace(gauss_setup):
