@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -103,15 +102,8 @@ def _cmd_check_kernel(cfg, out: Path) -> int:
         "analytic_verdict": analytic.verdict.value,
         "analytic_witness": analytic.witness,
         "analytic_reason": analytic.reason,
-        "thresholds": {},
+        "thresholds": kernel.thresholds(),
     }
-    if kernel.family == "mexican_hat_gauss":
-        report["thresholds"] = {
-            "s_min": math.sqrt(2.0),
-            "s_max": math.sqrt(2.0) / kernel.amp,
-        }
-    elif kernel.family == "mexican_hat_exp":
-        report["thresholds"] = {"ratio_max": kernel.gamma2 / kernel.gamma1}
     if kernel.has_density():
         numeric = bochner_numeric_check(
             kernel,

@@ -102,6 +102,11 @@ class Kernel:
             reason="spectral density nonnegative for all admissible parameters",
         )
 
+    def thresholds(self) -> dict:
+        """The parameter bounds that classify compares against, by name;
+        empty for families whose sign does not depend on a parameter."""
+        return {}
+
     def _profile(self, ax):
         raise NotImplementedError
 
@@ -307,17 +312,20 @@ class MexicanHatGauss(Kernel):
         coef = self.amp * self.s / math.sqrt(2.0)
         return np.exp(-x2 / 2.0) - coef * np.exp(-self.s * self.s * x2 / 4.0)
 
+    def thresholds(self) -> dict:
+        return {"s_min": math.sqrt(2.0), "s_max": math.sqrt(2.0) / self.amp}
+
     def classify(self) -> Classification:
-        sqrt2 = math.sqrt(2.0)
-        if sqrt2 <= self.s <= sqrt2 / self.amp:
+        t = self.thresholds()
+        if t["s_min"] <= self.s <= t["s_max"]:
             return Classification(
                 Verdict.NONNEGATIVE_DEFINITE,
                 reason="sqrt(2) <= s <= sqrt(2)/amp",
             )
-        if self.s < sqrt2:
+        if self.s < t["s_min"]:
             # Negative tail at high frequency; locate the density minimum.
             delta = (2.0 - self.s * self.s) / 4.0
-            arg = 2.0 * sqrt2 / (self.amp * self.s**3)
+            arg = 2.0 * math.sqrt(2.0) / (self.amp * self.s**3)
             xi_star = math.sqrt(max(math.log(max(arg, 1.0 + 1e-12)), 0.1) / max(delta, 1e-12))
             xi_max = 1.5 * xi_star + 5.0
             reason = "s < sqrt(2): wide component dominates at high frequency"
@@ -366,8 +374,11 @@ class MexicanHatExp(Kernel):
         g1, g2 = self.gamma1, self.gamma2
         return 2.0 * (g1 / (g1 * g1 + x2) - self.ratio * g2 / (g2 * g2 + x2))
 
+    def thresholds(self) -> dict:
+        return {"ratio_max": self.gamma2 / self.gamma1}
+
     def classify(self) -> Classification:
-        if self.ratio <= self.gamma2 / self.gamma1:
+        if self.ratio <= self.thresholds()["ratio_max"]:
             return Classification(
                 Verdict.NONNEGATIVE_DEFINITE, reason="ratio <= gamma2/gamma1"
             )

@@ -6,7 +6,8 @@ Three discretizations of the same flow, each a start state and a step
 function over one shared step loop (`_integrate`), which owns the
 trust-region check, the mean series, the snapshots and the noise blocks:
 
-* `em_simulate_full`: Euler-Maruyama on the grid with the dense K.
+* `em_simulate_full`: Euler-Maruyama on the grid, with the dense K on a
+  truncated grid and K applied by FFT on a periodic one.
 * `galerkin_simulate`: Euler-Maruyama on the leading N mode coefficients;
   at N = rank it is the full dynamics in the eigenbasis.
 * `doss_sussmann_simulate`: pathwise transform Y = V - eps*B*W, with Y
@@ -57,6 +58,7 @@ from .operator import (
     SpectralDecomposition,
     build_operator_matrix,
     norm_h,
+    periodic_matvec,
     s_residual,
     write_csv,
 )
@@ -390,24 +392,31 @@ def em_simulate_full(
     path: NoisePath | None = None,
     K: np.ndarray | None = None,
 ) -> TrajectoryRecord:
-    """Euler-Maruyama on the full grid with the dense operator matrix K.
+    """Euler-Maruyama on the full grid.
 
-    K is `build_operator_matrix(kernel, grid)`; pass it when it is already
-    assembled, or it is assembled here.  dec is optional plumbing for
-    diagnostics (and required to map spectral noise onto the grid).  A
-    spectral noise block reaches the grid as one product xi_block @ (E b)^T.
+    On a truncated grid K F(u) is the dense product with K =
+    `build_operator_matrix(kernel, grid)`; pass K when it is already
+    assembled, or it is assembled here.  On a periodic grid K is circulant
+    and K F(u) is a circular convolution by FFT with the DFT of its first
+    column, so no dense matrix is read or assembled, and a run with K
+    equals one without.  dec is optional plumbing for diagnostics (and
+    required to map spectral noise onto the grid).  A spectral noise block
+    reaches the grid as one product xi_block @ (E b)^T.
 
     Raises BlowUp when the state leaves the trust region |u| <= cfg.clamp.
     """
     _check_gain(gain)
     if cfg.u0.grid != grid:
         raise GridMismatchError("initial condition grid does not match run grid")
-    if K is None:
-        K = build_operator_matrix(kernel, grid)
-    elif K.shape != (grid.n, grid.n):
+    if K is not None and K.shape != (grid.n, grid.n):
         raise DimensionMismatchError(
             f"operator matrix has shape {K.shape}, grid has {grid.n} nodes"
         )
+    matvec = None
+    if grid.boundary == "periodic":
+        matvec, K = periodic_matvec(kernel, grid), None
+    elif K is None:
+        K = build_operator_matrix(kernel, grid)
     target, dim = grid, grid.n
     if noise.mode == "spectral" and cfg.epsilon > 0.0:
         if dec is None:
@@ -426,7 +435,9 @@ def em_simulate_full(
 
     def step(w):
         nonlocal u
-        du = cfg.dt * (-cfg.alpha * u + K @ gain.f(u))
+        fu = gain.f(u)
+        Kf = K @ fu if matvec is None else matvec(fu)
+        du = cfg.dt * (-cfg.alpha * u + Kf)
         if w is not None:
             du += w
         u = u + du

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amariflow import Gaussian, MexicanHatGauss, cli, sde
 from amariflow.cli import main
 from amariflow.config import (
+    SCHEMA,
     apply_override,
     build_gain,
     build_grid,
@@ -29,6 +32,42 @@ def test_empty_text_gives_defaults():
 
 def test_serialize_roundtrip_defaults():
     cfg = default_config()
+    assert parse_config(serialize_config(cfg)).values == cfg.values
+
+
+# bounded so that the rounded spellings stay finite
+FINITE = st.floats(-1e300, 1e300)
+FLOAT_TEXT = st.sampled_from(("{!r}", "{:.17g}", "{:.3e}", "{:f}"))
+# config text for each value kind, in several spellings
+VALUE_TEXT = {
+    "float": st.tuples(FLOAT_TEXT, FINITE).map(lambda p: p[0].format(p[1])),
+    "int": st.integers(-(10**12), 10**12).map(str),
+    "bool": st.sampled_from(("true", "false", "True", "FALSE")),
+    "str": st.text("abcdefghijklmnopqrstuvwxyz0123456789_.-", min_size=1, max_size=12),
+    "floats": st.lists(FINITE, max_size=4).map(lambda v: ",".join(map(repr, v))),
+    "ints": st.lists(st.integers(-(10**6), 10**6), max_size=4).map(
+        lambda v: " , ".join(map(str, v))
+    ),
+}
+
+
+@st.composite
+def config_texts(draw):
+    lines = []
+    for section, keys in SCHEMA.items():
+        chosen = draw(st.lists(st.sampled_from(sorted(keys)), unique=True, max_size=4))
+        if chosen:
+            lines.append(f"[{section}]  # {section}")
+        for key in chosen:
+            value = draw(VALUE_TEXT[keys[key][0]])
+            lines.append(f"{key}={value}" if draw(st.booleans()) else f"  {key} = {value}  # c")
+    return "\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config_texts())
+def test_serialize_roundtrip_generated(text):
+    cfg = parse_config(text)
     assert parse_config(serialize_config(cfg)).values == cfg.values
 
 

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amariflow import operator
 from amariflow import (
     CosineSum,
     Field,
@@ -289,6 +294,8 @@ def test_reconstruct_coeff_roundtrip(gauss_setup):
     assert np.max(np.abs(back - c)) < 1e-10
     with pytest.raises(RankExceededError):
         dec.reconstruct(np.ones(dec.rank + 1))
+    with pytest.raises(RangeError):
+        dec.reconstruct(np.ones(0))  # the cut to the leading modes needs one
 
 
 def test_check_assumption5(gauss_setup):
@@ -327,3 +334,90 @@ def test_spectrum_csv_roundtrip(gauss_setup, tmp_path):
     assert len(lines) == dec.rank + 1
     values = np.array([float(l.split(",")[1]) for l in lines[1:]])
     assert np.array_equal(values, dec.lambdas)
+
+
+# -- closed-form spectrum on periodic grids ----------------------------------------
+
+def eigh_decompose(K, grid):
+    """spectral_decompose on its eigh path, whatever K is."""
+    with mock.patch.object(operator, "_is_circulant", return_value=False):
+        return spectral_decompose(K, grid)
+
+
+def no_eigh():
+    return mock.patch.object(operator.linalg, "eigh", side_effect=AssertionError("eigh called"))
+
+
+def separated_eigenspaces(lam, floor, min_gap):
+    """Index sets of the runs of eigenvalues (descending) closer than
+    min_gap, keeping only runs that min_gap also parts from floor, the
+    largest eigenvalue left out."""
+    spaces = np.split(np.arange(lam.size), np.flatnonzero(np.diff(lam) < -min_gap) + 1)
+    if lam[-1] - floor < min_gap:
+        spaces.pop()
+    return spaces
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 160),
+    length=st.floats(2.0, 20.0),
+    width=st.floats(0.01, 2.0),
+)
+def test_periodic_closed_form_matches_eigh(n, length, width):
+    grid = Grid(-length / 2.0, length / 2.0, n, "periodic")
+    K = build_operator_matrix(Gaussian(width=width), grid)
+    try:
+        ref = eigh_decompose(K, grid)
+    except NotNonnegativeError:
+        # the wrapped kernel has a kink at L/2 that can make K indefinite
+        with no_eigh(), pytest.raises(NotNonnegativeError):
+            spectral_decompose(K, grid)
+        return
+    with no_eigh():
+        dec = spectral_decompose(K, grid)
+    lam_max = ref.lambdas[0]
+    assert dec.rank == ref.rank
+    assert abs(dec.discarded_max - ref.discarded_max) <= 1e-12 * lam_max
+    assert np.max(np.abs(dec.lambdas - ref.lambdas)) <= 1e-12 * lam_max
+    assert np.all(dec.lambdas > 0.0) and np.all(np.diff(dec.lambdas) <= 0.0)
+    E = dec.eigenfields
+    assert np.max(np.abs(grid.h * (E.T @ E) - np.eye(dec.rank))) <= 1e-12
+    # eigh's basis inside a degenerate space is arbitrary: compare projectors
+    # on the eigenspaces that a gap of 1e-4 lambda_max sets apart, where
+    # eigh's rounding moves them by about 1e-14 / 1e-4
+    floor = ref.discarded_max if ref.rank < n else -np.inf
+    for idx in separated_eigenspaces(dec.lambdas, floor, 1e-4 * lam_max):
+        P = grid.h * (E[:, idx] @ E[:, idx].T)
+        Q = grid.h * (ref.eigenfields[:, idx] @ ref.eigenfields[:, idx].T)
+        assert np.max(np.abs(P - Q)) <= 1e-8
+
+
+def test_periodic_decomposition_pairs_cos_and_sin(periodic_setup):
+    _, grid, dec = periodic_setup
+    assert dec.rank % 2 == 1  # the constant mode, then whole cos/sin pairs
+    assert np.array_equal(dec.lambdas[1::2], dec.lambdas[2::2])
+    assert np.allclose(dec.eigenfields[:, 0], 1.0 / np.sqrt(grid.length), rtol=0, atol=1e-15)
+
+
+def test_perturbed_periodic_operator_goes_to_eigh(periodic_setup):
+    kernel, grid, _ = periodic_setup
+    K = build_operator_matrix(kernel, grid)
+    bad = K.copy()
+    bad[5, 5] *= 1.0 + 1e-5
+    eigh = operator.linalg.eigh
+    with mock.patch.object(operator.linalg, "eigh", side_effect=eigh) as spy:
+        spectral_decompose(K, grid)
+        assert spy.call_count == 0
+        dec = spectral_decompose(bad, grid)
+        assert spy.call_count == 1
+    resid = bad @ dec.eigenfields - dec.eigenfields * dec.lambdas
+    assert np.max(np.abs(resid)) <= 1e-12 * dec.lambdas[0]
+
+
+def test_wide_periodic_decomposition_does_not_call_eigh():
+    grid = Grid(-10.0, 10.0, 2048, "periodic")
+    K = build_operator_matrix(Gaussian(width=0.5), grid)
+    with no_eigh():
+        dec = spectral_decompose(K, grid)
+    assert 0 < dec.rank < grid.n and 0.0 < dec.discarded_max <= dec.threshold

@@ -2,6 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 from amariflow import sde
@@ -149,6 +152,23 @@ def test_noise_path_cumulative_and_coarsen(gauss_setup):
     assert np.array_equal(p2.increments, blocks)
     with pytest.raises(RangeError):
         path.coarsen(3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 12),
+    st.floats(1e-4, 1.0),
+    st.data(),
+)
+def test_coarsen_keeps_the_path_at_coarse_edges(factor, coarse_steps, dt, data):
+    inc = data.draw(arrays(np.float64, (factor * coarse_steps, 3),
+                           elements=st.floats(-10.0, 10.0)))
+    fine = NoisePath("modes", dt, inc, seed=0)
+    coarse = fine.coarsen(factor)
+    assert coarse.steps == coarse_steps and coarse.dt == dt * factor
+    W = fine.cumulative()[::factor]
+    assert np.max(np.abs(coarse.cumulative() - W)) <= 1e-12 * (1.0 + np.max(np.abs(W)))
 
 
 @pytest.mark.parametrize("mode", ["white", "spectral"])
@@ -582,3 +602,58 @@ def test_trajectory_csv_roundtrip(gauss_setup, tmp_path):
     first = np.array([float(v) for v in lines[1].split(",")])
     assert first[0] == tr.times[0]
     assert np.array_equal(first[5:], tr.states[0])
+
+
+# -- periodic grids: K applied by FFT ------------------------------------------------
+
+def periodic_cfg(grid, dec, epsilon):
+    rng = np.random.default_rng(8)
+    u0 = Field(grid, dec.eigenfields @ (rng.normal(size=dec.rank) * np.sqrt(dec.lambdas)))
+    return SimConfig(alpha=1.0, epsilon=epsilon, dt=0.01, t_final=0.5, u0=u0, record_every=5)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_periodic_em_matches_dense_recursion(periodic_setup, epsilon):
+    kernel, grid, dec = periodic_setup
+    gain, noise = GainSpec("sigmoid"), NoiseSpec(rule="b_sq_eq_k", seed=4)
+    cfg = periodic_cfg(grid, dec, epsilon)
+    tr = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec)
+    K = build_operator_matrix(kernel, grid)
+    spread = dec.eigenfields * noise.b_coeffs(dec)
+    xi = sample_noise_increments(noise, dec, cfg.dt, cfg.n_steps).increments
+    u = cfg.u0.values
+    states = [u]
+    for k in range(cfg.n_steps):
+        u = u + cfg.dt * (-cfg.alpha * u + K @ gain.f(u)) + epsilon * (spread @ xi[k])
+        states.append(u)
+    expect = np.array(states)[:: cfg.record_every]
+    assert tr.states.shape == expect.shape
+    assert np.max(np.abs(tr.states - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
+@pytest.mark.parametrize("mode", ["white", "spectral"])
+def test_periodic_em_is_the_same_with_and_without_K(periodic_setup, mode):
+    kernel, grid, dec = periodic_setup
+    noise = NoiseSpec(mode=mode, rule=None if mode == "white" else "b_sq_eq_k", seed=5)
+    cfg = periodic_cfg(grid, dec, 0.3)
+    runs = [
+        em_simulate_full(kernel, grid, GainSpec("tanh"), noise, cfg, dec=dec, K=K)
+        for K in (None, build_operator_matrix(kernel, grid))
+    ]
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert np.array_equal(runs[0].mean_series, runs[1].mean_series)
+    for key in sde.DIAGNOSTICS:
+        assert np.array_equal(runs[0].diagnostics[key], runs[1].diagnostics[key], equal_nan=True)
+
+
+def test_periodic_em_assembles_no_operator_matrix(periodic_setup, monkeypatch):
+    kernel, grid, dec = periodic_setup
+
+    def refuse(kernel, grid):
+        raise AssertionError("dense operator assembled")
+
+    monkeypatch.setattr(sde, "build_operator_matrix", refuse)
+    cfg = periodic_cfg(grid, dec, 0.3)
+    for noise in (NoiseSpec(seed=2), NoiseSpec(mode="white", rule=None, seed=2)):
+        tr = em_simulate_full(kernel, grid, GainSpec("sigmoid"), noise, cfg, dec=dec)
+        assert np.all(np.isfinite(tr.states))
