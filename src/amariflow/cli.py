@@ -134,10 +134,8 @@ def _cmd_check_kernel(cfg, out: Path) -> int:
 def _cmd_spectrum(cfg, out: Path) -> int:
     _, _, _, dec = _decompose(cfg)
     write_spectrum_csv(dec, out / "spectrum.csv")
-    print(
-        f"retained rank {dec.rank}, lambda_1 = {float(dec.lambdas[0])!r}, "
-        f"threshold {float(dec.threshold)!r}"
-    )
+    lead = f", lambda_1 = {float(dec.lambdas[0])!r}" if dec.rank else ""
+    print(f"retained rank {dec.rank}{lead}, threshold {float(dec.threshold)!r}")
     return 0
 
 

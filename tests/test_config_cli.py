@@ -279,6 +279,35 @@ def test_cli_spectrum(tmp_path, capsys):
     assert "retained rank" in capsys.readouterr().out
 
 
+def test_cli_spectrum_rank_zero(tmp_path, capsys):
+    # J identically 0: nothing is retained, which is a result, not a failure
+    code = main(["spectrum", "--out", str(tmp_path),
+                 "--override", "kernel.family=cosine_sum", "--override", "kernel.weights=0.0"])
+    assert code == 0
+    assert (tmp_path / "spectrum.csv").read_text() == "index,lambda\n"
+    out, err = capsys.readouterr()
+    assert out == "retained rank 0, threshold 0.0\n"
+    assert err == ""
+
+
+@pytest.mark.parametrize("overrides, code, message", [
+    # the operator matrix overflows to inf
+    (("kernel.scale=1e308", "grid.a=-1e300", "grid.b=1e300"),
+     1, "error: ValidationError: operator matrix has non-finite entries\n"),
+    # every entry of K is finite, its largest eigenvalue is not
+    (("kernel.family=exponential", "kernel.scale=1e308", "kernel.rate=1e-3"),
+     2, "error: NumericalError: operator spectrum has non-finite eigenvalues\n"),
+])
+def test_cli_spectrum_non_finite_is_one_line(tmp_path, capsys, overrides, code, message):
+    argv = ["spectrum", "--out", str(tmp_path)]
+    for spec in overrides:
+        argv += ["--override", spec]
+    with np.errstate(over="ignore"):
+        assert main(argv) == code
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_cli_simulate_outputs(tmp_path, capsys):
     code = main([
         "simulate", "--out", str(tmp_path),

@@ -246,6 +246,25 @@ def test_mode_drift_is_minus_lambda_grad_theta(gauss_setup, n_modes, gain, x):
     assert np.all(err <= 1e-7 * np.sqrt(lam)), (err / np.sqrt(lam)).max()
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    gain=st.sampled_from(ALL_GAINS),
+    alpha=st.floats(0.1, 2.0),
+    x=arrays(np.float64, 36, elements=st.floats(-2.0, 2.0)),
+    y=arrays(np.float64, 36, elements=st.floats(-2.0, 2.0)),
+)
+def test_grad_theta_matches_fd_directional(gauss_setup, gain, alpha, x, y):
+    # <grad Theta(u), h>_-1 is the derivative of Theta along h, for
+    # generated states u and directions h in S
+    _, _, dec = gauss_setup
+    assert dec.rank == x.size
+    root = np.sqrt(dec.lambdas)
+    u, h = dec.reconstruct(root * x), dec.reconstruct(root * y)
+    ref = inner_hminus1(dec, grad_theta(dec, gain, alpha, u), h)
+    d = fd_directional(lambda v: theta_functional(dec, gain, alpha, v), u, h, 1e-4)
+    assert abs(d - ref) <= 1e-6 * max(abs(ref), 1.0), (d, ref)
+
+
 def test_rangeerror_on_nonpositive_fd_step(gauss_setup):
     _, grid, dec = gauss_setup
     u = constant_field(grid, 0.0)

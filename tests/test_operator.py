@@ -1,9 +1,11 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from amariflow import operator
 from amariflow import (
@@ -32,8 +34,10 @@ from amariflow.errors import (
     NonpositiveEigenvalueError,
     NotInSError,
     NotNonnegativeError,
+    NumericalError,
     RangeError,
     RankExceededError,
+    ValidationError,
 )
 from amariflow.operator import s_residual
 from conftest import constant_field, random_field_in_S
@@ -340,7 +344,8 @@ def test_spectrum_csv_roundtrip(gauss_setup, tmp_path):
 
 def eigh_decompose(K, grid):
     """spectral_decompose on its eigh path, whatever K is."""
-    with mock.patch.object(operator, "_is_circulant", return_value=False):
+    maxima = operator._operator_maxima
+    with mock.patch.object(operator, "_operator_maxima", lambda K, circ: maxima(K, False)):
         return spectral_decompose(K, grid)
 
 
@@ -421,3 +426,124 @@ def test_wide_periodic_decomposition_does_not_call_eigh():
     with no_eigh():
         dec = spectral_decompose(K, grid)
     assert 0 < dec.rank < grid.n and 0.0 < dec.discarded_max <= dec.threshold
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 160),
+    length=st.floats(2.0, 20.0),
+    width=st.floats(0.01, 2.0),
+)
+def test_truncated_decomposition_is_h_orthonormal(n, length, width):
+    grid = Grid(-length / 2.0, length / 2.0, n)
+    dec = spectral_decompose(build_operator_matrix(Gaussian(width=width), grid), grid)
+    assert dec.rank >= 1
+    assert np.all(dec.lambdas > dec.threshold) and np.all(dec.lambdas > 0.0)
+    assert np.all(np.diff(dec.lambdas) <= 0.0)
+    assert dec.discarded_max <= dec.threshold
+    E = dec.eigenfields
+    assert np.max(np.abs(grid.h * (E.T @ E) - np.eye(dec.rank))) <= 1e-12
+
+
+# -- the blocked checks on K ----------------------------------------------------
+
+def dense_maxima(K, circulant):
+    circ = np.abs(K - linalg.circulant(K[:, 0])).max() if circulant else np.inf
+    return np.abs(K).max(), np.abs(K - K.T).max(), circ
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    kind=st.sampled_from(["symmetric", "circulant", "general"]),
+    perturb=st.booleans(),
+    tile=st.sampled_from([operator.TILE, 7]),
+    circulant=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_maxima_equal_dense(n, kind, perturb, tile, circulant, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "symmetric":
+        M = rng.normal(size=(n, n))
+        K = M + M.T
+    elif kind == "circulant":
+        c = rng.normal(size=n)
+        K = linalg.circulant(c + np.roll(c[::-1], 1))  # symmetric column
+    else:
+        K = rng.normal(size=(n, n))
+    if perturb:
+        i, j = rng.integers(n, size=2)
+        K[i, j] += rng.choice([1e-13, 1e-6, 1.0]) * rng.normal()
+    got = operator._operator_maxima(K, circulant, tile)
+    assert got == dense_maxima(K, circulant)
+
+
+@pytest.mark.parametrize("n, tile", [(23, 7), (40, 7), (9, operator.TILE)])
+def test_blocked_maxima_see_every_entry(n, tile):
+    # a spike at any one entry sets all three maxima; n = 23 with tile 7
+    # reads K in blocks of two rows, the last one short
+    base = linalg.circulant(np.r_[2.0, np.ones(n - 1)])
+    for i, j in np.ndindex(n, n):
+        K = base.copy()
+        K[i, j] = 10.0
+        assert operator._operator_maxima(K, True, tile) == dense_maxima(K, True), (i, j)
+
+
+@pytest.mark.parametrize("side", [1.01, 0.99])
+@pytest.mark.parametrize("boundary", ["truncated", "periodic"])
+def test_asymmetry_in_last_partial_tile_flips_at_tolerance(boundary, side):
+    n = 2 * operator.TILE + 44
+    grid = Grid(-5.0, 5.0, n, boundary)
+    K = build_operator_matrix(Gaussian(width=0.5), grid)
+    K[n - 1, n - 2] += side * 1e-12 * np.abs(K).max()
+    if side > 1.0:
+        with pytest.raises(ValidationError, match="not symmetric"):
+            spectral_decompose(K, grid)
+    else:
+        spectral_decompose(K, grid)
+
+
+@pytest.mark.parametrize("side", [1.01, 0.99])
+def test_circulant_deviation_in_last_partial_tile_flips_at_tolerance(side):
+    n = 2 * operator.TILE + 44
+    grid = Grid(-5.0, 5.0, n, "periodic")
+    K = build_operator_matrix(Gaussian(width=0.5), grid)
+    d = side * 1e-12 * np.abs(K).max()
+    K[n - 1, n - 2] += d
+    K[n - 2, n - 1] += d
+    eigh = operator.linalg.eigh
+    with mock.patch.object(operator.linalg, "eigh", side_effect=eigh) as spy:
+        spectral_decompose(K, grid)
+    assert spy.call_count == (1 if side > 1.0 else 0)
+
+
+def test_wide_periodic_decomposition_has_no_dense_temporaries():
+    # K itself is 33.5 MB; a single n x n temporary would be as large
+    grid = Grid(-10.0, 10.0, 2048, "periodic")
+    K = build_operator_matrix(Gaussian(width=0.5), grid)
+    tracemalloc.start()
+    try:
+        spectral_decompose(K, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("boundary", ["truncated", "periodic"])
+def test_non_finite_operator_is_refused(boundary, bad):
+    grid = Grid(-4.0, 4.0, 64, boundary)
+    K = build_operator_matrix(Gaussian(width=0.3), grid)
+    K[17, 40] = bad  # off the first column, which the circulant check copies
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        spectral_decompose(K, grid)
+
+
+@pytest.mark.parametrize("boundary", ["truncated", "periodic"])
+def test_overflowing_spectrum_is_refused(boundary):
+    # every entry is finite, the eigenvalue n * 1e308 is not
+    grid = Grid(0.0, 1.0, 16, boundary)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            spectral_decompose(np.full((16, 16), 1e308), grid)
