@@ -287,7 +287,10 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[args.command](cfg, out)
+        # an overflow is reported by the one-line error it leads to, so
+        # numpy's floating-point warnings would only add lines to stderr
+        with np.errstate(all="ignore"):
+            return _DISPATCH[args.command](cfg, out)
     except (ValidationError, NumericalError, OSError) as e:
         print(f"error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
         return 2 if isinstance(e, NumericalError) else 1

@@ -21,12 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import RangeError
-from .operator import (
-    DEFAULT_MEMBERSHIP_TOL,
-    Field,
-    SpectralDecomposition,
-    _coeffs_in_S,
-)
+from .operator import Field, SpectralDecomposition, _coeffs_in_S
 
 LN2 = math.log(2.0)
 
@@ -164,44 +159,30 @@ def phi_functional(gain: GainSpec, u: Field) -> float:
     return _phi(gain, u.grid.h, u.values)
 
 
-def psi_functional(
-    dec: SpectralDecomposition,
-    alpha: float,
-    u: Field,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> float:
-    """Psi(u) = (alpha/2) ||u||_-1^2; requires u in S."""
+def psi_functional(dec: SpectralDecomposition, alpha: float, u: Field) -> float:
+    """Psi(u) = (alpha/2) ||u||_-1^2; requires u in S (raises NotInS)."""
     _check_alpha(alpha)
-    return _psi(dec, alpha, _coeffs_in_S(dec, u, membership_tol))
+    return _psi(dec, alpha, _coeffs_in_S(dec, u))
 
 
 def theta_functional(
-    dec: SpectralDecomposition,
-    gain: GainSpec,
-    alpha: float,
-    u: Field,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
+    dec: SpectralDecomposition, gain: GainSpec, alpha: float, u: Field
 ) -> float:
-    """Theta(u) = -Phi(u) + Psi(u), the Lyapunov functional of the flow."""
+    """Theta(u) = -Phi(u) + Psi(u), the Lyapunov functional of the flow;
+    requires u in S (raises NotInS)."""
     flow = ModeFlow(dec, gain, alpha)
-    return flow.theta(_coeffs_in_S(dec, u, membership_tol), u.values)
+    return flow.theta(_coeffs_in_S(dec, u), u.values)
 
 
-def grad_theta(
-    dec: SpectralDecomposition,
-    gain: GainSpec,
-    alpha: float,
-    u: Field,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> Field:
+def grad_theta(dec: SpectralDecomposition, gain: GainSpec, alpha: float, u: Field) -> Field:
     """Riesz gradient of Theta in the (., .)_-1 product: alpha*u - K F(u).
 
-    K is applied through the retained modes, so the result lies in S (up to
-    u's own membership tolerance).  Its mode coefficients are
+    Requires u in S (raises NotInS).  K is applied through the retained
+    modes, so K F(u) lies in S.  Its mode coefficients are
     -ModeFlow.drift, the drift the integrators assemble.
     """
     flow = ModeFlow(dec, gain, alpha)
-    _coeffs_in_S(dec, u, membership_tol)
+    _coeffs_in_S(dec, u)
     return Field(u.grid, alpha * u.values - dec.eigenfields @ flow.nonlocal_part(u.values))
 
 

@@ -40,7 +40,8 @@ from .kernels import Kernel
 
 DEFAULT_REL_TOL = 1e-10
 DEFAULT_NEG_TOL = 1e-8
-DEFAULT_MEMBERSHIP_TOL = 1e-6
+# g is in S when ||g - Pi_S g||_H <= MEMBERSHIP_TOL * ||g||_H.
+MEMBERSHIP_TOL = 1e-6
 
 BOUNDARIES = ("truncated", "periodic")
 
@@ -382,30 +383,26 @@ def project_S(dec: SpectralDecomposition, g: Field) -> tuple[Field, float]:
     return dec.reconstruct(c), rel * norm_h(g)
 
 
-def _coeffs_in_S(dec, g: Field, membership_tol: float) -> np.ndarray:
+def _coeffs_in_S(dec, g: Field) -> np.ndarray:
     c, rel = s_residual(dec, g)
-    if rel > membership_tol:
+    if rel > MEMBERSHIP_TOL:
         raise NotInSError(
-            f"field has H-relative residual {rel:.3e} outside S (tol {membership_tol:.1e})"
+            f"field has H-relative residual {rel:.3e} outside S (tol {MEMBERSHIP_TOL:.1e})"
         )
     return c
 
 
-def norm_hminus1(
-    dec: SpectralDecomposition, g: Field, membership_tol: float = DEFAULT_MEMBERSHIP_TOL
-) -> float:
-    """Nonlocal norm ||K^(-1/2) g||_H; requires g in S within membership_tol."""
-    return float(np.sqrt(dec.hminus1_sq(_coeffs_in_S(dec, g, membership_tol))))
+def norm_hminus1(dec: SpectralDecomposition, g: Field) -> float:
+    """Nonlocal norm ||K^(-1/2) g||_H; requires g in S (H-relative residual
+    at most MEMBERSHIP_TOL)."""
+    return float(np.sqrt(dec.hminus1_sq(_coeffs_in_S(dec, g))))
 
 
-def inner_hminus1(
-    dec: SpectralDecomposition,
-    f: Field,
-    g: Field,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
-) -> float:
-    cf = _coeffs_in_S(dec, f, membership_tol)
-    cg = _coeffs_in_S(dec, g, membership_tol)
+def inner_hminus1(dec: SpectralDecomposition, f: Field, g: Field) -> float:
+    """Nonlocal inner product <K^(-1/2) f, K^(-1/2) g>_H; requires f and g
+    in S."""
+    cf = _coeffs_in_S(dec, f)
+    cg = _coeffs_in_S(dec, g)
     return float(np.sum(cf * cg / dec.lambdas))
 
 

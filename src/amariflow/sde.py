@@ -21,10 +21,9 @@ trust-region check, the mean series, the snapshots and the noise blocks:
 Every scheme streams its noise: it draws blocks of rows from the stream
 of one whole-path draw, so it sees the same increments without holding
 the path.  A NoisePath holds a whole run's increments; it is kept for
-comparisons that share one path between integrators, truncated to fewer
-modes or block-summed to a coarser step, and a run on it is identical to
-one without it.  A spectral block reaches the grid with one matrix
-product.
+comparisons across step sizes, which block-sum one path to each coarser
+step, and a run on it is identical to one without it.  A spectral block
+reaches the grid with one matrix product.
 
 White-on-grid noise scales node increments by sqrt(dt/h): then <dW, v>_H
 has variance dt*||v||_H^2, the cylindrical normalization.  Spectral noise
@@ -47,12 +46,13 @@ from .errors import (
     BlowUpError,
     DimensionMismatchError,
     GridMismatchError,
+    InsufficientDataError,
     NotInSError,
     RangeError,
 )
 from .kernels import Kernel
 from .operator import (
-    DEFAULT_MEMBERSHIP_TOL,
+    MEMBERSHIP_TOL,
     Field,
     Grid,
     SpectralDecomposition,
@@ -282,7 +282,7 @@ def _grid_diagnostics(flow: ModeFlow | None, grid, u):
     hn = float(np.sqrt(grid.h) * np.linalg.norm(u))
     if flow is not None:
         c, rel = s_residual(flow.dec, Field(grid, u))
-        if rel <= DEFAULT_MEMBERSHIP_TOL:
+        if rel <= MEMBERSHIP_TOL:
             return _mode_diagnostics(flow, c, u, hn)
     return float(u.mean()), hn, np.nan, np.nan
 
@@ -562,16 +562,15 @@ def convergence_table(
     K: np.ndarray | None = None,
 ) -> list:
     """Sup-over-snapshots H-distance between mode-truncated runs and the
-    full-grid reference, all driven by one shared spectral path.  K is
-    passed on to `em_simulate_full`.  Returns [(N, sup_error)] in the
-    order given."""
+    full-grid reference, all driven by one spectral path, which each run
+    streams from noise.seed.  K is passed on to `em_simulate_full`.
+    Returns [(N, sup_error)] in the order given."""
     if noise.mode != "spectral":
         raise RangeError("the truncation study needs spectral noise")
-    path = sample_noise_increments(noise, dec, cfg.dt, cfg.n_steps)
-    ref = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec, path=path, K=K)
+    ref = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec, K=K)
     rows = []
     for N in n_list:
-        tr = galerkin_simulate(dec, gain, noise, cfg, n_modes=int(N), path=path)
+        tr = galerkin_simulate(dec, gain, noise, cfg, n_modes=int(N))
         rows.append((int(N), sup_h_distance(dec, ref, tr)))
     return rows
 
@@ -584,28 +583,24 @@ def sup_h_distance(dec: SpectralDecomposition, grid_run, mode_run) -> float:
     return float(np.sqrt(dec.grid.h * np.sum(diff * diff, axis=1)).max())
 
 
-def invariance_monitor(
-    dec: SpectralDecomposition,
-    traj: TrajectoryRecord,
-    membership_tol: float = DEFAULT_MEMBERSHIP_TOL,
-):
-    """Squared nonlocal norm ||u||_-1^2 at every snapshot and its sup.
+def invariance_monitor(traj: TrajectoryRecord):
+    """Squared nonlocal norm ||u||_-1^2 at every snapshot and its sup, read
+    from the run's own "hminus1_norm" diagnostics.
 
-    Grid snapshots must lie in S within membership_tol (raises NotInS
-    otherwise); mode snapshots are in S by construction.
+    Raises NotInS naming the first snapshot with no recorded norm: its
+    state is outside S, or the run was made without a decomposition.  A
+    record without that diagnostic raises InsufficientData.
     """
-    if traj.kind == "modes":
-        series = dec.truncate(traj.states.shape[1]).hminus1_sq(traj.states)
-    else:
-        series = np.empty(traj.times.size)
-        for i, u in enumerate(traj.states):
-            c, rel = s_residual(dec, Field(dec.grid, u))
-            if rel > membership_tol:
-                raise NotInSError(
-                    f"snapshot {i} (t = {traj.times[i]:.6g}) is outside S: "
-                    f"relative residual {rel:.3e}"
-                )
-            series[i] = dec.hminus1_sq(c)
+    if "hminus1_norm" not in traj.diagnostics:
+        raise InsufficientDataError("trajectory record has no 'hminus1_norm' diagnostic")
+    series = np.asarray(traj.diagnostics["hminus1_norm"], dtype=float) ** 2
+    missing = np.flatnonzero(np.isnan(series))
+    if missing.size:
+        i = missing[0]
+        raise NotInSError(
+            f"snapshot {i} (t = {traj.times[i]:.6g}) has no H_-1 norm: its state is "
+            "outside S, or the run was made without a decomposition"
+        )
     return float(series.max()), series
 
 

@@ -194,7 +194,7 @@ def test_criterion_5_ensemble_invariance(gauss_setup):
             tr = em_simulate_full(kernel, grid, gain,
                                   NoiseSpec(rule="b_eq_k", seed=1000 + m),
                                   cfg, dec=dec)
-            sup, _ = invariance_monitor(dec, tr)
+            sup, _ = invariance_monitor(tr)
             sups.append(sup)
         means.append(float(np.mean(sups)))
     assert means[0] <= means[1] <= means[2], means

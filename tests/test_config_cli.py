@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amariflow
 from amariflow import Gaussian, MexicanHatGauss, cli, sde
 from amariflow.cli import main
 from amariflow.config import (
@@ -306,6 +311,21 @@ def test_cli_spectrum_non_finite_is_one_line(tmp_path, capsys, overrides, code, 
         assert main(argv) == code
     assert capsys.readouterr().err == message
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "simulate"])
+def test_cli_overflow_is_one_line_in_a_subprocess(tmp_path, command):
+    # pytest captures numpy's warnings in-process; a child shows the stderr
+    # a user sees
+    env = dict(os.environ, PYTHONPATH=str(Path(amariflow.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "amariflow.cli", command, "--out", str(tmp_path),
+         "--override", "kernel.scale=1e308", "--override", "grid.a=-1e300",
+         "--override", "grid.b=1e300"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: ValidationError: operator matrix has non-finite entries\n"
 
 
 def test_cli_simulate_outputs(tmp_path, capsys):

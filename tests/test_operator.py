@@ -256,7 +256,7 @@ def test_hminus1_rejects_outside_subspace(gauss_setup):
     # 10 percent of the H norm sits outside the retained span
     g = Field(grid, e1.values + 0.1 * norm_h(e1) * q.values)
     with pytest.raises(NotInSError):
-        norm_hminus1(dec, g, membership_tol=1e-6)
+        norm_hminus1(dec, g)
 
 
 def test_hplus1_norm(gauss_setup):

@@ -35,7 +35,9 @@ from amariflow.errors import (
     NotInSError,
     RangeError,
     RankExceededError,
+    ValidationError,
 )
+from amariflow.operator import s_residual
 from amariflow.rng import derive_rng
 from conftest import constant_field
 
@@ -359,7 +361,7 @@ def test_blowup_step_mid_block(periodic_setup, monkeypatch):
     assert err.value.time == expect * cfg.dt
 
 
-@pytest.mark.parametrize("scheme", ["em", "galerkin", "doss_sussmann"])
+@pytest.mark.parametrize("scheme", ["em", "galerkin", "doss_sussmann", "galerkin study"])
 def test_streamed_run_holds_a_block_not_the_path(scheme):
     kernel = Gaussian(width=0.01)
     grid = Grid(-4.0, 4.0, 512)
@@ -371,7 +373,11 @@ def test_streamed_run_holds_a_block_not_the_path(scheme):
     kw = {"K": K} if scheme == "em" else {}
     tracemalloc.start()
     try:
-        run_scheme(scheme, kernel, grid, dec, GainSpec("sigmoid"), NoiseSpec(), cfg, **kw)
+        if scheme == "galerkin study":
+            convergence_table(kernel, grid, dec, GainSpec("sigmoid"), NoiseSpec(), cfg,
+                              [4], K=K)
+        else:
+            run_scheme(scheme, kernel, grid, dec, GainSpec("sigmoid"), NoiseSpec(), cfg, **kw)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -526,12 +532,12 @@ def test_invariance_monitor_modes_and_grid(gauss_setup):
                     u0=Field(grid, 2.0 * dec.eigenfields[:, 0]),
                     record_every=10)
     tr = galerkin_simulate(dec, gain, NoiseSpec(), cfg)
-    sup, series = invariance_monitor(dec, tr)
+    sup, series = invariance_monitor(tr)
     assert series.size == tr.times.size
     assert sup == series.max()
     # the dense deterministic run stays in S and the monitor accepts it
     em = em_simulate_full(kernel, grid, gain, NoiseSpec(), cfg, dec=dec)
-    sup_em, series_em = invariance_monitor(dec, em)
+    sup_em, series_em = invariance_monitor(em)
     assert abs(sup_em - sup) < 1e-8 * max(sup, 1.0)
 
 
@@ -542,7 +548,50 @@ def test_invariance_monitor_rejects_white_noise_states(gauss_setup):
                     u0=constant_field(grid, 0.0), record_every=5)
     tr = em_simulate_full(kernel, grid, GainSpec("zero"), spec, cfg, dec=dec)
     with pytest.raises(NotInSError):
-        invariance_monitor(dec, tr)
+        invariance_monitor(tr)
+
+
+@pytest.mark.parametrize("scheme", ["em", "galerkin"])
+def test_invariance_monitor_matches_a_projection_of_each_snapshot(gauss_setup, scheme):
+    kernel, grid, dec = gauss_setup
+    gain, spec = GainSpec("sigmoid"), NoiseSpec(seed=4)
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=1.0,
+                    u0=Field(grid, dec.eigenfields[:, 0]), record_every=1)
+    if scheme == "em":
+        modes = dec
+        tr = em_simulate_full(kernel, grid, gain, spec, cfg, dec=dec)
+        fields = tr.states
+    else:
+        modes = dec.truncate(5)
+        tr = galerkin_simulate(dec, gain, spec, cfg, n_modes=5)
+        fields = tr.states @ modes.eigenfields.T
+    ref = []
+    for u in fields:
+        c, rel = s_residual(modes, Field(grid, u))
+        assert rel <= 1e-6
+        ref.append(modes.hminus1_sq(c))
+    sup, series = invariance_monitor(tr)
+    assert np.allclose(series, ref, rtol=1e-14, atol=0)
+    assert sup == series.max()
+
+
+def test_invariance_monitor_names_the_first_snapshot_without_a_norm(gauss_setup):
+    kernel, grid, dec = gauss_setup
+    white = NoiseSpec(mode="white", rule=None, seed=2)
+    cfg = SimConfig(alpha=1.0, epsilon=0.5, dt=0.01, t_final=0.2,
+                    u0=constant_field(grid, 0.0), record_every=5)
+    # u = 0 at snapshot 0 is in S; white noise leaves S at the first step
+    tr = em_simulate_full(kernel, grid, GainSpec("zero"), white, cfg, dec=dec)
+    with pytest.raises(NotInSError, match=r"snapshot 1 \(t = 0\.05\)"):
+        invariance_monitor(tr)
+    # without a decomposition the run records no norm to monitor
+    tr = em_simulate_full(kernel, grid, GainSpec("sigmoid"), NoiseSpec(), zero_cfg(grid))
+    with pytest.raises(NotInSError, match=r"snapshot 0 \(t = 0\)"):
+        invariance_monitor(tr)
+    bare = TrajectoryRecord(kind="grid", times=np.array([0.0]), states=np.zeros((1, grid.n)),
+                            dt=0.01, seed=0, integrator="em_full", grid=grid)
+    with pytest.raises(ValidationError):
+        invariance_monitor(bare)
 
 
 def test_zero_gain_decay_sup_at_start(gauss_setup):
@@ -550,7 +599,7 @@ def test_zero_gain_decay_sup_at_start(gauss_setup):
     cfg = SimConfig(alpha=1.0, epsilon=0.0, dt=0.01, t_final=1.0,
                     u0=Field(grid, dec.eigenfields[:, 0]), record_every=10)
     tr = galerkin_simulate(dec, GainSpec("zero"), NoiseSpec(), cfg)
-    sup, series = invariance_monitor(dec, tr)
+    sup, series = invariance_monitor(tr)
     assert sup == series[0]
     assert np.all(np.diff(series) < 0.0)
 

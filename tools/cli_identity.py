@@ -1,0 +1,85 @@
+"""Check that two checkouts of amariflow give byte-identical CLI results.
+
+    python3 tools/cli_identity.py --a <checkout> --b <checkout>
+
+Runs every case below in both checkouts (the package from <checkout>/src)
+at seeds 1 and 3 with OPENBLAS_NUM_THREADS=1, the README's condition for
+byte-identical outputs.  Compares every output file byte for byte, plus
+stdout, stderr and the exit code.  Prints one line per case and seed,
+and exits 1 if anything differs, 0 otherwise.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 3)
+
+# the wide-periodic benchmark workload's geometry
+WIDE_PERIODIC = (
+    "kernel.family=gaussian",
+    "kernel.width=0.5",
+    "grid.a=-10.0",
+    "grid.b=10.0",
+    "grid.n=2048",
+    "grid.boundary=periodic",
+    "sim.record_every=50",
+)
+
+CASES = (
+    ("check-kernel", ()),
+    ("spectrum", ()),
+    ("simulate", ()),
+    ("energy-trace", ()),
+    ("galerkin-compare", ()),
+    ("gibbs-compare", ()),
+    ("doss-sussmann-compare", ("sim.epsilon=0.3",)),
+    ("fig1", ("sim.t_final=20",)),
+    # grid white noise leaves the trust region before t = 20: exit code 2
+    ("fig1", ("sim.t_final=20", "noise.mode=white", "sim.epsilon=0.5")),
+    ("simulate", (*WIDE_PERIODIC, "sim.t_final=1")),
+)
+
+
+def run(checkout: Path, command: str, overrides, seed: int) -> dict:
+    """Exit code, stdout, stderr and output files of one CLI run."""
+    argv = [sys.executable, "-m", "amariflow.cli", command,
+            "--out", "out", "--seed", str(seed)]
+    for spec in overrides:
+        argv += ["--override", spec]
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run(argv, capture_output=True, env=env, cwd=tmp)
+        out = Path(tmp, "out")
+        files = sorted(out.iterdir()) if out.is_dir() else []
+        result = {f"file {f.name}": f.read_bytes() for f in files}
+    result.update(exit_code=proc.returncode, stdout=proc.stdout, stderr=proc.stderr)
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--a", required=True, type=Path, help="first checkout")
+    parser.add_argument("--b", required=True, type=Path, help="second checkout")
+    args = parser.parse_args(argv)
+    a, b = args.a.resolve(), args.b.resolve()
+    differ = 0
+    for command, overrides in CASES:
+        for seed in SEEDS:
+            ra, rb = run(a, command, overrides, seed), run(b, command, overrides, seed)
+            diff = sorted(k for k in ra.keys() | rb.keys() if ra.get(k) != rb.get(k))
+            differ += bool(diff)
+            label = " ".join([command, *(f"--override {s}" for s in overrides)])
+            verdict = "DIFFERENT " + ", ".join(diff) if diff else f"same ({len(ra) - 3} files)"
+            print(f"seed {seed}, exit {ra['exit_code']}: {label}: {verdict}", flush=True)
+    print(f"{differ} of {len(CASES) * len(SEEDS)} runs differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
