@@ -14,7 +14,6 @@ from .energy import (
     ModeFlow,
     fd_directional,
     grad_theta,
-    nemytskii_F,
     phi_functional,
     psi_functional,
     theta_functional,
@@ -51,9 +50,6 @@ from .kernels import (
     WizardHat,
     Zero,
     bochner_numeric_check,
-    classify_kernel,
-    eval_kernel,
-    fourier_density,
     gram_min_eigenvalue,
     invert_density,
 )
@@ -62,7 +58,6 @@ from .operator import (
     Grid,
     SpectralDecomposition,
     apply_operator,
-    build_grid,
     build_operator_matrix,
     check_assumption5,
     inner_h,

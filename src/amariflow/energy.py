@@ -57,10 +57,6 @@ class GainSpec:
             raise RangeError(f"constant gain level must be finite, got {self.c!r}")
 
     @property
-    def non_lipschitz(self) -> bool:
-        return self.family == "cubic"
-
-    @property
     def lipschitz_constant(self) -> float | None:
         """Global Lipschitz constant of f, None for the cubic gain."""
         return {"sigmoid": 0.25, "tanh": 0.5, "cubic": None,
@@ -106,11 +102,6 @@ class GainSpec:
         if self.family == "constant":
             return self.c * s
         return np.zeros_like(s)
-
-
-def nemytskii_F(gain: GainSpec, u: Field) -> Field:
-    """Pointwise superposition F(u)(x) = f(u(x))."""
-    return Field(u.grid, gain.f(u.values))
 
 
 def _check_alpha(alpha: float):

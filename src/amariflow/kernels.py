@@ -7,8 +7,8 @@ Fourier convention
 
 a kernel is nonnegative definite exactly when its spectral measure is
 nonnegative (Bochner).  For the families with absolutely continuous spectrum,
-`fourier_density` evaluates the closed-form density g; sums of cosines have
-purely atomic spectrum and raise AtomicSpectrum instead.
+`Kernel.fourier_density` evaluates the closed-form density g; sums of cosines
+have purely atomic spectrum and raise AtomicSpectrum instead.
 
 The exponential mexican hat is special-cased: its standard printed density is
 the plain transform integral exp(-i xi x) J(x) dx, so its inversion prefactor
@@ -34,6 +34,9 @@ from .errors import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Upper end of the window for the numeric transform of a kernel without a
+# closed-form density (`bochner_numeric_check` with quad_fallback).
+WINDOW = 50.0
 
 
 class Verdict(str, Enum):
@@ -465,20 +468,8 @@ FAMILIES = {
 }
 
 
-def eval_kernel(kernel: Kernel, x):
-    return kernel.evaluate(x)
-
-
-def fourier_density(kernel: Kernel, xi):
-    return kernel.fourier_density(xi)
-
-
-def classify_kernel(kernel: Kernel) -> Classification:
-    return kernel.classify()
-
-
-def _density_argmin(kernel: Kernel, xi_max: float, n: int = 8001) -> float:
-    grid = np.linspace(0.0, xi_max, n)
+def _density_argmin(kernel: Kernel, xi_max: float) -> float:
+    grid = np.linspace(0.0, xi_max, 8001)
     vals = kernel.fourier_density(grid)
     return float(grid[int(np.argmin(vals))])
 
@@ -498,15 +489,14 @@ def bochner_numeric_check(
     n_xi: int = 2001,
     tol: float = 1e-8,
     quad_fallback: bool = False,
-    window: float = 50.0,
 ) -> Classification:
     """Sweep the spectral density on [0, xi_max] and compare against -tol.
 
     Families without a closed-form density raise AtomicSpectrum unless
-    `quad_fallback` is set, in which case a windowed cosine transform of J is
-    swept instead and the verdict is always NumericOnly: windowing of a
-    non-decaying J leaks sign errors of order 1/window, so the sweep is
-    evidence, not proof, in either direction.
+    `quad_fallback` is set, in which case a cosine transform of J over
+    [0, WINDOW] is swept instead and the verdict is always NumericOnly:
+    windowing of a non-decaying J leaks sign errors of order 1/WINDOW, so
+    the sweep is evidence, not proof, in either direction.
     """
     if xi_max <= 0.0 or n_xi < 2:
         raise RangeError(f"need xi_max > 0 and n_xi >= 2, got {xi_max!r}, {n_xi!r}")
@@ -532,7 +522,7 @@ def bochner_numeric_check(
         # Propagates AtomicSpectrum.
         kernel.fourier_density(grid)
         raise AssertionError("unreachable")
-    x = np.linspace(0.0, window, 20001)
+    x = np.linspace(0.0, WINDOW, 20001)
     jx = kernel.evaluate(x)
     # Even integrand: hat(g)(xi) ~= 2/sqrt(2 pi) * int_0^W J(x) cos(xi x) dx
     vals = (2.0 / SQRT_2PI) * np.trapezoid(
@@ -544,7 +534,7 @@ def bochner_numeric_check(
     return Classification(
         Verdict.NUMERIC_ONLY,
         reason=(
-            f"windowed transform (window {window}) is {sign}, min {vmin:.3e}"
+            f"windowed transform (window {WINDOW}) is {sign}, min {vmin:.3e}"
             f" at xi = {grid[kmin]:.6g}; inconclusive for a non-decaying kernel"
         ),
     )

@@ -18,6 +18,7 @@ i.e. the numerically resolved range of K.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,8 +59,8 @@ class Grid:
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b) and self.a < self.b):
             raise InvalidDomainError(f"need a < b, got [{self.a!r}, {self.b!r}]")
-        if self.n < 1:
-            raise InvalidDomainError(f"need n >= 1, got {self.n!r}")
+        if not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise InvalidDomainError(f"need an integer n >= 1, got {self.n!r}")
         if self.boundary not in BOUNDARIES:
             raise InvalidDomainError(
                 f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}"
@@ -76,10 +77,6 @@ class Grid:
     @cached_property
     def nodes(self) -> np.ndarray:
         return self.a + (np.arange(self.n) + 0.5) * self.h
-
-
-def build_grid(a: float, b: float, n: int, boundary: str = "truncated") -> Grid:
-    return Grid(float(a), float(b), int(n), boundary)
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,11 +133,14 @@ def _flush_subnormals(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _periodic_column(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """First column of K on a periodic grid, h * J(h * min(m, n - m)):
-    symmetric (entry m equals entry n - m) by construction."""
+def _column(kernel: Kernel, grid: Grid) -> np.ndarray:
+    """First column of K, h * J(h * m), with m = min(m, n - m) on a periodic
+    grid (so entry m equals entry n - m by construction) and subnormal
+    entries flushed to zero."""
     m = np.arange(grid.n)
-    return _flush_subnormals(grid.h * kernel.evaluate(grid.h * np.minimum(m, grid.n - m)))
+    if grid.boundary == "periodic":
+        m = np.minimum(m, grid.n - m)
+    return _flush_subnormals(grid.h * kernel.evaluate(grid.h * m))
 
 
 def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
@@ -149,31 +149,31 @@ def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     is the circulant of a symmetric column.  Subnormal entries are flushed
     to zero."""
     if grid.boundary == "periodic":
-        return linalg.circulant(_periodic_column(kernel, grid))
+        return linalg.circulant(_column(kernel, grid))
     d = np.abs(grid.nodes[:, None] - grid.nodes[None, :])
     return _flush_subnormals(grid.h * kernel.evaluate(d))
 
 
-def periodic_matvec(kernel: Kernel, grid: Grid):
-    """The map v -> K v on a periodic grid: a circular convolution by FFT
-    with the DFT of K's first column, which is taken once here."""
-    khat = np.fft.rfft(_periodic_column(kernel, grid))
-    return lambda v: np.fft.irfft(khat * np.fft.rfft(v), grid.n)
+def _fft_matvec(kernel: Kernel, grid: Grid):
+    """The map v -> K v by FFT, O(n log n), with the DFT of K's first column
+    taken once here.  On a periodic grid K is circulant and K v a circular
+    convolution of size n; on a truncated grid the symmetric Toeplitz K is
+    the leading n x n block of the circulant of size 2n with first column
+    [col, 0, col[:0:-1]], so K v is the first n entries of that product."""
+    col = _column(kernel, grid)
+    if grid.boundary == "truncated":
+        col = np.concatenate((col, [0.0], col[:0:-1]))
+    size, n = col.size, grid.n
+    khat = np.fft.rfft(col)
+    return lambda v: np.fft.irfft(khat * np.fft.rfft(v, size), size)[:n]
 
 
 def apply_operator(kernel: Kernel, grid: Grid, g: Field) -> Field:
-    """FFT application of K, O(n log n); matches the dense matvec to
-    rounding.  Truncated boundary uses a symmetric Toeplitz product,
-    periodic uses circular convolution."""
+    """K g by FFT (`_fft_matvec`) on either boundary; matches the dense
+    product to rounding."""
     if g.grid != grid:
         raise GridMismatchError("field grid does not match operator grid")
-    h = grid.h
-    if grid.boundary == "truncated":
-        col = h * kernel.evaluate(np.arange(grid.n) * h)
-        out = linalg.matmul_toeplitz((col, col), g.values)
-    else:
-        out = periodic_matvec(kernel, grid)(g.values)
-    return Field(grid, out)
+    return Field(grid, _fft_matvec(kernel, grid)(g.values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,36 +413,26 @@ def norm_hplus1(dec: SpectralDecomposition, g: Field) -> float:
     return float(np.sqrt(np.sum(dec.lambdas * c * c)))
 
 
-def check_assumption5(lambdas, b_coeffs, n_terms: int | None = None):
-    """Partial sums of b_i^2 / lambda_i, the small-noise summability
-    quantity, plus a monotone-growth flag (non-decaying terms mean the sum
-    would diverge as modes are added).  Advisory: in finite dimension every
-    sum is finite, so nothing downstream refuses to run on this.
+def check_assumption5(lambdas, b_coeffs):
+    """Partial sums of b_i^2 / lambda_i over the first min(len) terms, the
+    small-noise summability quantity, plus a monotone-growth flag
+    (non-decaying terms mean the sum would diverge as modes are added).
+    Advisory: in finite dimension every sum is finite, so nothing
+    downstream refuses to run on this.
     """
     lam = np.asarray(lambdas, dtype=float).ravel()
     b = np.asarray(b_coeffs, dtype=float).ravel()
-    if n_terms is None:
-        n_terms = min(lam.size, b.size)
-    n_terms = int(n_terms)
-    if n_terms < 1:
-        raise RangeError(f"need n_terms >= 1, got {n_terms}")
-    if lam.size < n_terms or b.size < n_terms:
-        raise DimensionMismatchError(
-            f"need {n_terms} eigenvalues and coefficients, got {lam.size} and {b.size}"
-        )
-    lam = lam[:n_terms]
-    b = b[:n_terms]
+    k = min(lam.size, b.size)
+    if k < 1:
+        raise RangeError("need at least one eigenvalue and one coefficient")
+    lam, b = lam[:k], b[:k]
     if np.any(lam <= 0.0):
         raise NonpositiveEigenvalueError(
             "summability terms b_i^2/lambda_i need strictly positive eigenvalues"
         )
     terms = b * b / lam
-    partial_sums = np.cumsum(terms)
-    if n_terms >= 2:
-        monotone_growth = bool(np.all(np.diff(terms) >= -1e-12 * max(terms.max(), 1.0)))
-    else:
-        monotone_growth = True
-    return partial_sums, monotone_growth
+    monotone_growth = bool(np.all(np.diff(terms) >= -1e-12 * max(terms.max(), 1.0)))
+    return np.cumsum(terms), monotone_growth
 
 
 def write_csv(path, header, rows):

@@ -37,6 +37,7 @@ never misses a transition between snapshots.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,9 +57,9 @@ from .operator import (
     Field,
     Grid,
     SpectralDecomposition,
+    _fft_matvec,
     build_operator_matrix,
     norm_h,
-    periodic_matvec,
     s_residual,
     write_csv,
 )
@@ -149,8 +150,10 @@ class SimConfig:
                 f"dt = {self.dt!r} violates the stability bound dt < 2/alpha = "
                 f"{2.0 / self.alpha!r}"
             )
-        if self.record_every < 1:
-            raise RangeError(f"record_every must be >= 1, got {self.record_every!r}")
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+            raise RangeError(
+                f"record_every must be an integer >= 1, got {self.record_every!r}"
+            )
         if not (np.isfinite(self.clamp) and self.clamp > 0.0):
             raise RangeError(f"clamp must be positive, got {self.clamp!r}")
         if self.n_steps < 1:
@@ -188,12 +191,15 @@ class NoisePath:
 
     def coarsen(self, factor: int) -> "NoisePath":
         """Sum increments in blocks of `factor`: same Brownian path on a
-        grid `factor` times coarser."""
+        grid `factor` times coarser.  Factor 1 returns this path itself,
+        not a copy."""
         factor = int(factor)
         if factor < 1 or self.steps % factor != 0:
             raise RangeError(
                 f"coarsening factor {factor} must divide the {self.steps} steps"
             )
+        if factor == 1:
+            return self
         inc = self.increments.reshape(self.steps // factor, factor, -1).sum(axis=1)
         return NoisePath(self.kind, self.dt * factor, inc, self.seed)
 
@@ -288,7 +294,7 @@ def _grid_diagnostics(flow: ModeFlow | None, grid, u):
 
 
 def _check_gain(gain: GainSpec):
-    if gain.non_lipschitz and not gain.allow_non_lipschitz:
+    if gain.lipschitz_constant is None and not gain.allow_non_lipschitz:
         raise RangeError(
             "gain has no global Lipschitz constant; construct it with "
             "allow_non_lipschitz=True to accept trust-region integration"
@@ -396,12 +402,12 @@ def em_simulate_full(
 
     On a truncated grid K F(u) is the dense product with K =
     `build_operator_matrix(kernel, grid)`; pass K when it is already
-    assembled, or it is assembled here.  On a periodic grid K is circulant
-    and K F(u) is a circular convolution by FFT with the DFT of its first
-    column, so no dense matrix is read or assembled, and a run with K
-    equals one without.  dec is optional plumbing for diagnostics (and
-    required to map spectral noise onto the grid).  A spectral noise block
-    reaches the grid as one product xi_block @ (E b)^T.
+    assembled, or it is assembled here.  On a periodic grid K F(u) is
+    `apply_operator`'s FFT application of the circulant K, so no dense
+    matrix is read or assembled, and a run with K equals one without.
+    dec is optional plumbing for diagnostics (and required to map
+    spectral noise onto the grid).  A spectral noise block reaches the
+    grid as one product xi_block @ (E b)^T.
 
     Raises BlowUp when the state leaves the trust region |u| <= cfg.clamp.
     """
@@ -414,7 +420,7 @@ def em_simulate_full(
         )
     matvec = None
     if grid.boundary == "periodic":
-        matvec, K = periodic_matvec(kernel, grid), None
+        matvec, K = _fft_matvec(kernel, grid), None
     elif K is None:
         K = build_operator_matrix(kernel, grid)
     target, dim = grid, grid.n
@@ -609,17 +615,16 @@ def detect_switches(traj: TrajectoryRecord, lower: float, upper: float) -> list:
 
     The regime becomes "up" when the mean reaches `upper`, "down" when it
     reaches `lower`; a completed regime change is one switching event.
-    Returns [(time, direction)] with direction "up" or "down".  Uses the
-    full-resolution mean series when the trajectory carries one.
+    Returns [(time, direction)] with direction "up" or "down", read from
+    the full-resolution mean series that every integrator records; a
+    record without one raises InsufficientData.
     """
     if not lower < upper:
         raise RangeError(f"need lower < upper, got {lower!r}, {upper!r}")
-    if traj.mean_series is not None:
-        means = np.asarray(traj.mean_series, dtype=float)
-        times = np.arange(means.size) * traj.dt
-    else:
-        means = np.asarray(traj.diagnostics["mean"], dtype=float)
-        times = traj.times
+    if traj.mean_series is None:
+        raise InsufficientDataError("trajectory record has no mean series")
+    means = np.asarray(traj.mean_series, dtype=float)
+    times = np.arange(means.size) * traj.dt
     events = []
     regime = None
     for t, m in zip(times, means):

@@ -31,14 +31,12 @@ from amariflow import (
     WizardHat,
     bochner_numeric_check,
     build_operator_matrix,
-    classify_kernel,
     compare_measures,
     convergence_table,
     detect_switches,
     doss_sussmann_simulate,
     em_simulate_full,
     ergodic_moments,
-    eval_kernel,
     fd_directional,
     galerkin_simulate,
     grad_theta,
@@ -248,7 +246,7 @@ def test_criterion_7_kernel_classification():
         for s in np.linspace(1.15, 4.0, 20):
             kernel = MexicanHatGauss(amp=float(amp), s=float(s))
             expected = SQRT2 <= s <= SQRT2 / amp
-            analytic = classify_kernel(kernel).verdict
+            analytic = kernel.classify().verdict
             assert analytic == (
                 Verdict.NONNEGATIVE_DEFINITE if expected else Verdict.INDEFINITE
             ), (amp, s)
@@ -263,7 +261,7 @@ def test_criterion_7_kernel_classification():
             kernel = MexicanHatExp(ratio=float(ratio), gamma1=gamma1,
                                    gamma2=float(gamma2))
             expected = ratio <= gamma2 / gamma1
-            analytic = classify_kernel(kernel).verdict
+            analytic = kernel.classify().verdict
             assert analytic == (
                 Verdict.NONNEGATIVE_DEFINITE if expected else Verdict.INDEFINITE
             ), (ratio, gamma2)
@@ -277,9 +275,9 @@ def test_criterion_7_kernel_classification():
                    Sinc(), CosineSum(weights=(1.0, 0.5), freqs=(1.0, 2.5)))
     rng = np.random.default_rng(2024)
     for kernel in nn_families:
-        assert classify_kernel(kernel).verdict == Verdict.NONNEGATIVE_DEFINITE
+        assert kernel.classify().verdict == Verdict.NONNEGATIVE_DEFINITE
         pts = rng.uniform(-5.0, 5.0, size=100)
-        G = eval_kernel(kernel, pts[:, None] - pts[None, :])
+        G = kernel.evaluate(pts[:, None] - pts[None, :])
         scale = float(np.abs(G).max())
         assert gram_min_eigenvalue(kernel, pts) >= -1e-8 * scale, kernel.family
     assert time.perf_counter() - t0 <= 30.0

@@ -18,9 +18,6 @@ from amariflow import (
     WizardHat,
     Zero,
     bochner_numeric_check,
-    classify_kernel,
-    eval_kernel,
-    fourier_density,
     gram_min_eigenvalue,
     invert_density,
 )
@@ -74,32 +71,32 @@ def test_evenness_is_bitwise():
     rng = np.random.default_rng(8)
     x = rng.uniform(-30.0, 30.0, size=1000)
     for kernel in DENSITY_KERNELS + ATOMIC_KERNELS:
-        left = eval_kernel(kernel, -x)
-        right = eval_kernel(kernel, x)
+        left = kernel.evaluate(-x)
+        right = kernel.evaluate(x)
         assert np.array_equal(left, right), type(kernel).__name__
 
 
 def test_point_values():
-    assert eval_kernel(Gaussian(width=1.0), 0.0) == 1.0
-    assert eval_kernel(MexicanHatPoly(), 1.0) == 0.0
-    assert eval_kernel(MexicanHatPoly(), 0.0) == 1.0
-    assert eval_kernel(WizardHat(), 0.0) == 0.25
-    assert eval_kernel(Zero(), 3.7) == 0.0
-    assert eval_kernel(Sinc(), 0.0) == 1.0
-    assert eval_kernel(CosineSum(weights=(2.0, 1.0), freqs=(1.0, 3.0)), 0.0) == 3.0
+    assert Gaussian(width=1.0).evaluate(0.0) == 1.0
+    assert MexicanHatPoly().evaluate(1.0) == 0.0
+    assert MexicanHatPoly().evaluate(0.0) == 1.0
+    assert WizardHat().evaluate(0.0) == 0.25
+    assert Zero().evaluate(3.7) == 0.0
+    assert Sinc().evaluate(0.0) == 1.0
+    assert CosineSum(weights=(2.0, 1.0), freqs=(1.0, 3.0)).evaluate(0.0) == 3.0
 
 
 def test_density_point_oracles():
     # polynomial hat: density xi^2 exp(-xi^2/2) evaluated at xi = 1
-    got = fourier_density(MexicanHatPoly(), 1.0)
+    got = MexicanHatPoly().fourier_density(1.0)
     assert abs(got - math.exp(-0.5)) < 1e-15
     # Gaussian-difference hat at xi = 0: 1 - A s / sqrt(2)
     for amp, s in [(0.2, 1.5), (0.5, 2.0), (0.9, 1.2)]:
-        got = fourier_density(MexicanHatGauss(amp=amp, s=s), 0.0)
+        got = MexicanHatGauss(amp=amp, s=s).fourier_density(0.0)
         assert abs(got - (1.0 - amp * s / SQRT2)) < 1e-15
     # exponential-difference hat at xi = 0: 2 (1/g1 - ratio/g2)
     for ratio, g1, g2 in [(0.3, 2.0, 1.0), (0.7, 3.0, 0.5)]:
-        got = fourier_density(MexicanHatExp(ratio=ratio, gamma1=g1, gamma2=g2), 0.0)
+        got = MexicanHatExp(ratio=ratio, gamma1=g1, gamma2=g2).fourier_density(0.0)
         assert abs(got - 2.0 * (1.0 / g1 - ratio / g2)) < 1e-14
 
 
@@ -109,7 +106,7 @@ def test_density_nonnegative_on_nn_families():
     for kernel in NN_KERNELS:
         if not kernel.has_density():
             continue
-        vals = fourier_density(kernel, xi)
+        vals = kernel.fourier_density(xi)
         assert np.all(vals >= 0.0), type(kernel).__name__
 
 
@@ -118,7 +115,7 @@ def test_inversion_roundtrip():
     for kernel in DENSITY_KERNELS:
         for x in (0.0, 0.35, 0.7, 2.3, 5.0):
             back = invert_density(kernel, x)
-            direct = eval_kernel(kernel, x)
+            direct = kernel.evaluate(x)
             assert abs(back - direct) < 1e-6, (type(kernel).__name__, x)
 
 
@@ -126,28 +123,28 @@ def test_atomic_families_raise_on_density():
     for kernel in ATOMIC_KERNELS:
         assert not kernel.has_density()
         with pytest.raises(AtomicSpectrumError):
-            fourier_density(kernel, 1.0)
+            kernel.fourier_density(1.0)
 
 
 def test_classification_examples():
-    assert classify_kernel(MexicanHatGauss(amp=0.5, s=2.0)).verdict == Verdict.NONNEGATIVE_DEFINITE
-    res = classify_kernel(MexicanHatGauss(amp=0.5, s=3.0))
+    assert MexicanHatGauss(amp=0.5, s=2.0).classify().verdict == Verdict.NONNEGATIVE_DEFINITE
+    res = MexicanHatGauss(amp=0.5, s=3.0).classify()
     assert res.verdict == Verdict.INDEFINITE
     assert res.witness is not None
-    assert classify_kernel(MexicanHatExp(ratio=0.3, gamma1=2.0, gamma2=1.0)).verdict == Verdict.NONNEGATIVE_DEFINITE
+    assert MexicanHatExp(ratio=0.3, gamma1=2.0, gamma2=1.0).classify().verdict == Verdict.NONNEGATIVE_DEFINITE
     for kernel in NN_KERNELS:
-        assert classify_kernel(kernel).verdict == Verdict.NONNEGATIVE_DEFINITE
+        assert kernel.classify().verdict == Verdict.NONNEGATIVE_DEFINITE
 
 
 def test_classification_thresholds_inclusive():
     # s in [sqrt(2), sqrt(2)/A] is nonnegative definite, endpoints included
-    assert classify_kernel(MexicanHatGauss(amp=0.5, s=SQRT2)).verdict == Verdict.NONNEGATIVE_DEFINITE
-    assert classify_kernel(MexicanHatGauss(amp=0.5, s=SQRT2 / 0.5)).verdict == Verdict.NONNEGATIVE_DEFINITE
-    assert classify_kernel(MexicanHatGauss(amp=0.5, s=SQRT2 - 1e-9)).verdict == Verdict.INDEFINITE
-    assert classify_kernel(MexicanHatGauss(amp=0.5, s=SQRT2 / 0.5 + 1e-9)).verdict == Verdict.INDEFINITE
+    assert MexicanHatGauss(amp=0.5, s=SQRT2).classify().verdict == Verdict.NONNEGATIVE_DEFINITE
+    assert MexicanHatGauss(amp=0.5, s=SQRT2 / 0.5).classify().verdict == Verdict.NONNEGATIVE_DEFINITE
+    assert MexicanHatGauss(amp=0.5, s=SQRT2 - 1e-9).classify().verdict == Verdict.INDEFINITE
+    assert MexicanHatGauss(amp=0.5, s=SQRT2 / 0.5 + 1e-9).classify().verdict == Verdict.INDEFINITE
     # ratio <= gamma2/gamma1, endpoint included
-    assert classify_kernel(MexicanHatExp(ratio=0.5, gamma1=2.0, gamma2=1.0)).verdict == Verdict.NONNEGATIVE_DEFINITE
-    assert classify_kernel(MexicanHatExp(ratio=0.5 + 1e-9, gamma1=2.0, gamma2=1.0)).verdict == Verdict.INDEFINITE
+    assert MexicanHatExp(ratio=0.5, gamma1=2.0, gamma2=1.0).classify().verdict == Verdict.NONNEGATIVE_DEFINITE
+    assert MexicanHatExp(ratio=0.5 + 1e-9, gamma1=2.0, gamma2=1.0).classify().verdict == Verdict.INDEFINITE
 
 
 def test_indefinite_witness_has_negative_density():
@@ -156,9 +153,9 @@ def test_indefinite_witness_has_negative_density():
         MexicanHatGauss(amp=0.3, s=1.2),
         MexicanHatExp(ratio=0.8, gamma1=2.0, gamma2=1.0),
     ):
-        res = classify_kernel(kernel)
+        res = kernel.classify()
         assert res.verdict == Verdict.INDEFINITE
-        assert fourier_density(kernel, res.witness) < 0.0
+        assert kernel.fourier_density(res.witness) < 0.0
 
 
 def test_bochner_wizard_hat_example():
@@ -176,7 +173,7 @@ def test_bochner_witness_near_density_minimum():
     res = bochner_numeric_check(kernel, xi_max=10.0)
     assert res.verdict == Verdict.INDEFINITE
     xi = np.linspace(0.0, 10.0, 20001)
-    argmin = xi[np.argmin(fourier_density(kernel, xi))]
+    argmin = xi[np.argmin(kernel.fourier_density(xi))]
     assert abs(res.witness - argmin) < 0.05
 
 
@@ -189,14 +186,14 @@ def test_bochner_strict_sweep_matches_analytic_on_box():
                 continue
             kernel = MexicanHatGauss(amp=float(amp), s=float(s))
             numeric = bochner_numeric_check(kernel, xi_max=sweep_xi_max(kernel), tol=0.0)
-            assert numeric.verdict == classify_kernel(kernel).verdict, (amp, s)
+            assert numeric.verdict == kernel.classify().verdict, (amp, s)
     for ratio in np.linspace(0.0475, 0.95, 6):
         for g2 in np.linspace(0.095, 1.9, 6):
             if abs(ratio - g2 / 2.0) < 1e-3:
                 continue
             kernel = MexicanHatExp(ratio=float(ratio), gamma1=2.0, gamma2=float(g2))
             numeric = bochner_numeric_check(kernel, xi_max=sweep_xi_max(kernel), tol=0.0)
-            assert numeric.verdict == classify_kernel(kernel).verdict, (ratio, g2)
+            assert numeric.verdict == kernel.classify().verdict, (ratio, g2)
 
 
 def test_bochner_fixed_tolerance_blind_spots():
@@ -206,7 +203,7 @@ def test_bochner_fixed_tolerance_blind_spots():
     # sweep still finds the sign change, tol = 1e-8 does not.
     for amp in (0.0475, 0.095):
         kernel = MexicanHatGauss(amp=amp, s=1.3)
-        assert classify_kernel(kernel).verdict == Verdict.INDEFINITE
+        assert kernel.classify().verdict == Verdict.INDEFINITE
         strict = bochner_numeric_check(kernel, xi_max=sweep_xi_max(kernel), tol=0.0)
         assert strict.verdict == Verdict.INDEFINITE
         loose = bochner_numeric_check(kernel, xi_max=sweep_xi_max(kernel), tol=1e-8)
@@ -243,7 +240,7 @@ def test_gram_nn_families_random_points():
     rng = np.random.default_rng(15)
     for kernel in NN_KERNELS:
         pts = rng.uniform(-5.0, 5.0, size=40)
-        G = eval_kernel(kernel, pts[:, None] - pts[None, :])
+        G = kernel.evaluate(pts[:, None] - pts[None, :])
         scale = np.abs(G).max()
         if scale == 0.0:
             continue
@@ -259,9 +256,9 @@ def test_scale_multiplies_kernel_and_density():
     base = Gaussian(width=0.9)
     scaled = Gaussian(width=0.9, scale=3.5)
     x = np.array([0.0, 0.4, 1.3])
-    assert np.allclose(eval_kernel(scaled, x), 3.5 * eval_kernel(base, x), rtol=1e-15)
+    assert np.allclose(scaled.evaluate(x), 3.5 * base.evaluate(x), rtol=1e-15)
     assert np.allclose(
-        fourier_density(scaled, x), 3.5 * fourier_density(base, x), rtol=1e-15
+        scaled.fourier_density(x), 3.5 * base.fourier_density(x), rtol=1e-15
     )
 
 

@@ -63,6 +63,14 @@ def test_grid_validation():
         Grid(0.0, 1.0, 8, "free")
 
 
+def test_grid_needs_an_integer_n():
+    with pytest.raises(InvalidDomainError, match="integer"):
+        Grid(0.0, 1.0, 2.5)
+    with pytest.raises(InvalidDomainError):
+        Grid(0.0, 1.0, 4.0)
+    assert Field.constant(Grid(0.0, 1.0, np.int64(4)), 1.0).values.size == 4
+
+
 def test_field_grid_mismatch():
     g = Grid(0.0, 1.0, 4)
     with pytest.raises(GridMismatchError):
@@ -123,13 +131,21 @@ def test_apply_operator_zero_kernel():
 @pytest.mark.parametrize("boundary", ["truncated", "periodic"])
 def test_apply_operator_matches_dense(boundary):
     g = Grid(-4.0, 4.0, 256, boundary)
-    kernel = Gaussian(width=0.5)
-    K = build_operator_matrix(kernel, g)
-    rng = np.random.default_rng(1)
-    f = Field(g, rng.normal(size=g.n))
-    fast = apply_operator(kernel, g, f).values
-    dense = K @ f.values
-    assert np.max(np.abs(fast - dense)) <= 1e-10 * np.max(np.abs(dense))
+    # width 0.01: the far tail of the column is subnormal, and flushed
+    for kernel in (Gaussian(width=0.5), Gaussian(width=0.01)):
+        K = build_operator_matrix(kernel, g)
+        rng = np.random.default_rng(1)
+        f = Field(g, rng.normal(size=g.n))
+        fast = apply_operator(kernel, g, f).values
+        dense = K @ f.values
+        assert np.max(np.abs(fast - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 127])
+def test_periodic_column_is_symmetric(n):
+    # O(n): entry m of K's first column equals entry n - m, bitwise
+    col = operator._column(Gaussian(width=0.3), Grid(-4.0, 4.0, n, "periodic"))
+    assert np.array_equal(col[1:], col[:0:-1])
 
 
 def test_periodic_matrix_is_circulant():
@@ -315,11 +331,11 @@ def test_check_assumption5(gauss_setup):
     assert np.all(sums == 0.0)
     with pytest.raises(NonpositiveEigenvalueError):
         check_assumption5(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    # without n_terms the shorter array wins; asking for more raises
+    # the shorter array sets the number of terms; it needs one at least
     sums, _ = check_assumption5(lam, lam[:3])
     assert sums.size == 3
-    with pytest.raises(DimensionMismatchError):
-        check_assumption5(lam, lam[:3], n_terms=5)
+    with pytest.raises(RangeError):
+        check_assumption5(lam, lam[:0])
 
 
 def test_decompose_is_deterministic(gauss_setup):

@@ -17,6 +17,7 @@ from amariflow import (
     NoiseSpec,
     SimConfig,
     TrajectoryRecord,
+    apply_operator,
     build_operator_matrix,
     convergence_table,
     detect_switches,
@@ -32,6 +33,7 @@ from amariflow.errors import (
     BlowUpError,
     DimensionMismatchError,
     GridMismatchError,
+    InsufficientDataError,
     NotInSError,
     RangeError,
     RankExceededError,
@@ -100,6 +102,18 @@ def test_sim_config_validation():
         SimConfig(alpha=1.0, epsilon=0.0, dt=0.3, t_final=0.1, u0=u0)
 
 
+def test_sim_config_needs_an_integer_record_every():
+    g = Grid(0.0, 1.0, 32)
+    u0 = constant_field(g, 0.0)
+    with pytest.raises(RangeError, match="integer"):
+        SimConfig(alpha=1.0, epsilon=0.0, dt=0.01, t_final=0.1, u0=u0,
+                  record_every=2.5)
+    cfg = SimConfig(alpha=1.0, epsilon=0.0, dt=0.01, t_final=0.1, u0=u0,
+                    record_every=np.int64(5))
+    tr = em_simulate_full(Gaussian(), g, GainSpec("zero"), NoiseSpec(), cfg)
+    assert np.allclose(tr.times, [0.0, 0.05, 0.1], rtol=0, atol=1e-15)
+
+
 def test_sim_config_step_rounding():
     g = Grid(0.0, 1.0, 8)
     u0 = constant_field(g, 0.0)
@@ -154,6 +168,13 @@ def test_noise_path_cumulative_and_coarsen(gauss_setup):
     assert np.array_equal(p2.increments, blocks)
     with pytest.raises(RangeError):
         path.coarsen(3)
+
+
+def test_coarsen_by_one_is_the_path(gauss_setup):
+    # the finest level of a step-halving study holds no second copy
+    _, _, dec = gauss_setup
+    path = sample_noise_increments(NoiseSpec(seed=7), dec, 0.01, 100)
+    assert path.coarsen(1) is path
 
 
 @settings(max_examples=50, deadline=None)
@@ -636,6 +657,16 @@ def test_detect_switches():
         detect_switches(flat, 0.5, -0.5)
 
 
+def test_detect_switches_needs_the_mean_series():
+    g = Grid(0.0, 1.0, 4)
+    bare = TrajectoryRecord(kind="grid", times=np.arange(3) * 0.1,
+                            states=np.zeros((3, 4)), dt=0.1, seed=0,
+                            integrator="em_full", grid=g,
+                            diagnostics={"mean": np.array([0.0, 0.6, -0.6])})
+    with pytest.raises(InsufficientDataError):
+        detect_switches(bare, -0.5, 0.5)
+
+
 def test_trajectory_csv_roundtrip(gauss_setup, tmp_path):
     _, grid, dec = gauss_setup
     cfg = SimConfig(alpha=1.0, epsilon=0.0, dt=0.01, t_final=0.1,
@@ -706,3 +737,14 @@ def test_periodic_em_assembles_no_operator_matrix(periodic_setup, monkeypatch):
     for noise in (NoiseSpec(seed=2), NoiseSpec(mode="white", rule=None, seed=2)):
         tr = em_simulate_full(kernel, grid, GainSpec("sigmoid"), noise, cfg, dec=dec)
         assert np.all(np.isfinite(tr.states))
+
+
+def test_periodic_em_step_is_apply_operator(periodic_setup):
+    # one EM step and apply_operator share one FFT application of K
+    kernel, grid, dec = periodic_setup
+    gain = GainSpec("sigmoid")
+    u0 = periodic_cfg(grid, dec, 0.0).u0
+    cfg = SimConfig(alpha=1.0, epsilon=0.0, dt=0.01, t_final=0.01, u0=u0)
+    tr = em_simulate_full(kernel, grid, gain, NoiseSpec(), cfg)
+    Kf = apply_operator(kernel, grid, Field(grid, gain.f(u0.values))).values
+    assert np.array_equal(u0.values + cfg.dt * (-cfg.alpha * u0.values + Kf), tr.states[1])

@@ -33,6 +33,11 @@ WIDE_PERIODIC = (
 
 CASES = (
     ("check-kernel", ()),
+    # indefinite: the analytic verdict searches the density for a witness
+    ("check-kernel", ("kernel.family=mexican_hat_gauss", "kernel.s=1.2")),
+    ("check-kernel", ("kernel.family=mexican_hat_exp", "kernel.ratio=0.8")),
+    # atomic spectrum: no density to sweep
+    ("check-kernel", ("kernel.family=cosine_sum",)),
     ("spectrum", ()),
     ("simulate", ()),
     ("energy-trace", ()),
