@@ -237,20 +237,37 @@ def _operator_maxima(K: np.ndarray, circulant: bool, tile: int = TILE):
     """max|K|, max|K - K^T| and, if circulant, max|K - circulant(K[:, 0])|
     (else inf), with no temporary larger than one tile or one row of K.
 
-    max|K| and the circulant deviation are row-local: they are taken over
-    blocks of whole rows, about tile^2 entries each.  The asymmetry pairs
+    If circulant, K is first compared with circulant(col), col = K[:, 0],
+    in blocks of whole rows, about tile^2 entries each, stopping at the
+    first block that differs.  When every entry is equal, K is not read
+    again: each K_ij is col[(i - j) % n], so max|K| is max|col|, each
+    K_ij - K_ji is one of col[m] - col[(n - m) % n], and the deviation is
+    max|col - col| (0, or NaN from an inf).  A NaN never compares equal,
+    so it takes the general path.
+
+    On the general path max|K| and the circulant deviation are row-local:
+    they are taken over the same blocks of rows.  The asymmetry pairs
     each tile (I, L), L >= I, with its transposed partner (L, I).  Each
     entry's |difference| is the dense formula's, and a max is exact, so
-    the three values equal the dense ones bitwise; a NaN in K gives a NaN
-    max|K|, an inf an inf one.
+    on either path the three values equal the dense ones bitwise; a NaN
+    in K gives a NaN max|K|, an inf an inf one.
     """
     n = K.shape[0]
     rows = max(1, tile * tile // n)
-    scratch = np.empty(max(tile * tile, rows * n))
     if circulant:
         # row i of the circulant is window n - 1 - i of c reversed, twice over
         rc = K[::-1, 0]
         windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((rc, rc)), n)
+        same = np.empty((rows, n), dtype=bool)
+        for i in range(0, n, rows):
+            j = min(i + rows, n)
+            if not np.equal(K[i:j], windows[n - j : n - i][::-1], out=same[: j - i]).all():
+                break
+        else:
+            col = K[:, 0]
+            asymmetry = np.abs(col - col[(n - np.arange(n)) % n]).max()
+            return float(np.abs(col).max()), float(asymmetry), float(np.abs(col - col).max())
+    scratch = np.empty(max(tile * tile, rows * n))
     row_peaks = []
     for i in range(0, n, rows):
         j = min(i + rows, n)
@@ -310,13 +327,16 @@ def spectral_decompose(
     definiteness at this grid's resolution.
 
     K is checked first, in cache-sized blocks with no n x n temporary
-    (`_operator_maxima`: O(n^2) time, O(tile^2 + n) memory; 24 ms at
-    n = 2048 on one core of a 2-core Xeon host): ValidationError if it has
-    a non-finite entry, or if max|K - K^T| exceeds 1e-12 * max|K|.  On a
-    periodic grid, when K is also the circulant of its first column to
-    that tolerance, the spectrum is taken in closed form: the eigenvalues
-    are the real DFT of that column and only the retained cos/sin
-    eigenvectors are built, O(n log n + n r) instead of eigh's O(n^3).
+    (`_operator_maxima`: O(n^2) time, O(tile^2 + n) memory):
+    ValidationError if it has a non-finite entry, or if max|K - K^T|
+    exceeds 1e-12 * max|K|.  On a periodic grid the checks read K once
+    when it equals the circulant of its first column bit for bit, and
+    take max|K| and the asymmetry from that column; any other K is read
+    in row blocks and in tile pairs.  On a periodic grid, when K is the
+    circulant of its first column to within 1e-12 * max|K|, the spectrum
+    is taken in closed form: the eigenvalues are the real DFT of that
+    column and only the retained cos/sin eigenvectors are built,
+    O(n log n + n r) instead of eigh's O(n^3).
     Any other K goes to eigh.  NumericalError if an eigenvalue comes out
     non-finite (overflow of a finite K).
     """

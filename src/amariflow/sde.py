@@ -354,14 +354,13 @@ def _integrate(cfg, noise, path, target, dim, kicks, start, step, diagnose, **re
     mean_series = np.empty(steps + 1)
     si = 0
     for k in range(steps + 1):
-        amax = float(np.abs(u).max())
-        if not np.isfinite(amax) or amax > cfg.clamp:
+        if not float(np.abs(u).max()) <= cfg.clamp:  # NaN fails too
             raise BlowUpError(
                 f"state left trust region |u| <= {cfg.clamp} at step {k}",
                 step=k,
                 time=k * dt,
             )
-        mean_series[k] = u.mean()
+        mean_series[k] = np.add.reduce(u) / u.size  # u.mean(), bitwise, faster
         if snaps[si] == k:
             states[si] = x
             diag[si] = diagnose(x, u)
@@ -647,14 +646,14 @@ def write_trajectory_csv(traj: TrajectoryRecord, path):
         state_cols = [f"u_{j}" for j in range(dim)]
     else:
         state_cols = [f"c_{i}" for i in range(1, dim + 1)]
-    write_csv(
-        path,
-        ["t", *DIAGNOSTICS, *state_cols],
-        (
-            [t, *(traj.diagnostics[k][i] for k in DIAGNOSTICS), *traj.states[i].tolist()]
-            for i, t in enumerate(traj.times.tolist())
-        ),
+    table = np.column_stack(
+        (traj.times, *(traj.diagnostics[k] for k in DIAGNOSTICS), traj.states)
     )
+    # write_csv's format, one row at a time: a float's repr needs no quoting
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["t", *DIAGNOSTICS, *state_cols]) + "\r\n")
+        for row in table:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def write_events_csv(events, path):

@@ -431,6 +431,18 @@ def test_snapshot_thinning(gauss_setup):
                        rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("n", [64, 400])
+def test_mean_series_is_the_snapshot_mean(n):
+    # bitwise: the step loop's mean must stay ndarray.mean's sum over count
+    kernel, grid = Gaussian(width=0.3), Grid(-4.0, 4.0, n)
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=2.0,
+                    u0=constant_field(grid, 0.5), record_every=7)
+    tr = em_simulate_full(kernel, grid, GainSpec("sigmoid"),
+                          NoiseSpec(mode="white", rule=None, seed=2), cfg)
+    snap_idx = np.round(tr.times / cfg.dt).astype(int)
+    assert np.array_equal(tr.mean_series[snap_idx], tr.states.mean(axis=1))
+
+
 def test_galerkin_full_rank_matches_dense_run(gauss_setup):
     kernel, grid, dec = gauss_setup
     gain = GainSpec("sigmoid")

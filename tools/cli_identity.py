@@ -39,6 +39,8 @@ CASES = (
     # atomic spectrum: no density to sweep
     ("check-kernel", ("kernel.family=cosine_sum",)),
     ("spectrum", ()),
+    # indefinite on a periodic grid: the closed form's sign test, exit code 2
+    ("spectrum", ("grid.boundary=periodic", "kernel.family=mexican_hat_gauss", "kernel.s=1.2")),
     ("simulate", ()),
     ("energy-trace", ()),
     ("galerkin-compare", ()),
