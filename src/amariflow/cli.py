@@ -5,9 +5,10 @@
 
 Every subcommand reads one config (defaults apply when --config is
 omitted), writes its outputs under --out, and prints a short summary.
-Exit codes: 0 success, 1 validation failure (bad config or arguments),
-2 numerical failure (operator not nonnegative, trajectory blow-up); the
-failure reason is one line on stderr either way.
+Exit codes: 0 success, 1 validation failure (bad config or arguments,
+or a run too large for memory), 2 numerical failure (operator not
+nonnegative, trajectory blow-up); the failure reason is one line on
+stderr either way.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ParseError, ValidationError
 from .ergodic import (
     GibbsTarget,
     compare_measures,
@@ -58,7 +59,12 @@ THETA_INCREASE_ALLOWANCE = 1e-12
 
 def _load_config(args) -> cfgmod.ExperimentConfig:
     if args.config is not None:
-        text = Path(args.config).read_text()
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(
+                f"{args.config}: not UTF-8 text ({e.reason} at byte {e.start})"
+            ) from None
         cfg = cfgmod.parse_config(text)
     elif args.command == "fig1":
         cfg = cfgmod.preset_fig1()
@@ -191,18 +197,18 @@ def _cmd_ds_compare(cfg, out: Path) -> int:
     halvings = int(cfg.get("sim", "ds_halvings"))
     if halvings < 1:
         raise ValidationError(f"need ds_halvings >= 1, got {halvings}")
-    steps = sim.n_steps
-    fine = sample_noise_increments(
-        noise, dec, sim.dt / 2**halvings, steps * 2**halvings
-    )
+    # every level is validated (its step count too) before the path is drawn
+    levels = [
+        dataclasses.replace(sim, dt=sim.dt / 2**j, record_every=sim.record_every * 2**j)
+        for j in range(halvings + 1)
+    ]
+    fine = sample_noise_increments(noise, dec, levels[-1].dt, sim.n_steps * 2**halvings)
     rows = []
-    for j in range(halvings + 1):
-        dt_j = sim.dt / 2**j
+    for j, sim_j in enumerate(levels):
         path = fine.coarsen(2 ** (halvings - j))
-        sim_j = dataclasses.replace(sim, dt=dt_j, record_every=sim.record_every * 2**j)
         ref = em_simulate_full(kernel, grid, gain, noise, sim_j, dec=dec, path=path, K=K)
         ds = doss_sussmann_simulate(dec, gain, noise, sim_j, path=path)
-        rows.append([dt_j, sup_h_distance(dec, ref, ds)])
+        rows.append([sim_j.dt, sup_h_distance(dec, ref, ds)])
     for j, (dt_j, sup) in enumerate(rows):
         ratio = sup / rows[j + 1][1] if j + 1 < len(rows) and rows[j + 1][1] > 0 else ""
         rows[j].append(ratio)
@@ -291,8 +297,10 @@ def main(argv=None) -> int:
         # numpy's floating-point warnings would only add lines to stderr
         with np.errstate(all="ignore"):
             return _DISPATCH[args.command](cfg, out)
-    except (ValidationError, NumericalError, OSError) as e:
-        print(f"error: {type(e).__name__}: {' '.join(str(e).split())}", file=sys.stderr)
+    except (ValidationError, NumericalError, OSError, MemoryError) as e:
+        # numpy's MemoryError is a private subclass: report the public name
+        name = "MemoryError" if isinstance(e, MemoryError) else type(e).__name__
+        print(f"error: {name}: {' '.join(str(e).split())}", file=sys.stderr)
         return 2 if isinstance(e, NumericalError) else 1
 
 

@@ -233,51 +233,32 @@ class SpectralDecomposition:
 TILE = 128  # 128 KB of float64, so a tile and its transposed partner sit in L2
 
 
-def _operator_maxima(K: np.ndarray, circulant: bool, tile: int = TILE):
-    """max|K|, max|K - K^T| and, if circulant, max|K - circulant(K[:, 0])|
-    (else inf), with no temporary larger than one tile or one row of K.
-
-    If circulant, K is first compared with circulant(col), col = K[:, 0],
-    in blocks of whole rows, about tile^2 entries each, stopping at the
-    first block that differs.  When every entry is equal, K is not read
-    again: each K_ij is col[(i - j) % n], so max|K| is max|col|, each
-    K_ij - K_ji is one of col[m] - col[(n - m) % n], and the deviation is
-    max|col - col| (0, or NaN from an inf).  A NaN never compares equal,
-    so it takes the general path.
-
-    On the general path max|K| and the circulant deviation are row-local:
-    they are taken over the same blocks of rows.  The asymmetry pairs
-    each tile (I, L), L >= I, with its transposed partner (L, I).  Each
-    entry's |difference| is the dense formula's, and a max is exact, so
-    on either path the three values equal the dense ones bitwise; a NaN
-    in K gives a NaN max|K|, an inf an inf one.
-    """
+def _is_circulant(K: np.ndarray, tile: int = TILE) -> bool:
+    """Whether K equals circulant(K[:, 0]) bit for bit.  K is compared in
+    blocks of whole rows, about tile^2 entries each, into a small bool
+    buffer, stopping at the first block that differs; a NaN never compares
+    equal."""
     n = K.shape[0]
     rows = max(1, tile * tile // n)
-    if circulant:
-        # row i of the circulant is window n - 1 - i of c reversed, twice over
-        rc = K[::-1, 0]
-        windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((rc, rc)), n)
-        same = np.empty((rows, n), dtype=bool)
-        for i in range(0, n, rows):
-            j = min(i + rows, n)
-            if not np.equal(K[i:j], windows[n - j : n - i][::-1], out=same[: j - i]).all():
-                break
-        else:
-            col = K[:, 0]
-            asymmetry = np.abs(col - col[(n - np.arange(n)) % n]).max()
-            return float(np.abs(col).max()), float(asymmetry), float(np.abs(col - col).max())
-    scratch = np.empty(max(tile * tile, rows * n))
-    row_peaks = []
+    # row i of the circulant is window n - 1 - i of c reversed, twice over
+    rc = K[::-1, 0]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((rc, rc)), n)
+    same = np.empty((rows, n), dtype=bool)
     for i in range(0, n, rows):
         j = min(i + rows, n)
-        block, buf = K[i:j], scratch[: (j - i) * n].reshape(j - i, n)
-        peak = [np.abs(block, out=buf).max()]
-        if circulant:
-            np.subtract(block, windows[n - j : n - i][::-1], out=buf)
-            peak.append(np.abs(buf, out=buf).max())
-        row_peaks.append(peak)
-    asym_peaks = []
+        if not np.equal(K[i:j], windows[n - j : n - i][::-1], out=same[: j - i]).all():
+            return False
+    return True
+
+
+def _asymmetry(K: np.ndarray, tile: int = TILE) -> float:
+    """max|K - K^T|, pairing each tile (I, L), L >= I, with its transposed
+    partner (L, I), so no temporary is larger than one tile.  Each entry's
+    |difference| is the dense formula's and a max is exact, so the value
+    equals the dense one bitwise."""
+    n = K.shape[0]
+    scratch = np.empty(tile * tile)
+    peaks = []
     for i in range(0, n, tile):
         I = slice(i, min(i + tile, n))
         for l in range(i, n, tile):
@@ -285,9 +266,8 @@ def _operator_maxima(K: np.ndarray, circulant: bool, tile: int = TILE):
             A = K[I, L]
             buf = scratch[: A.size].reshape(A.shape)
             np.subtract(A, K[L, I].T, out=buf)
-            asym_peaks.append(np.abs(buf, out=buf).max())
-    peaks = np.max(row_peaks, axis=0)
-    return float(peaks[0]), float(np.max(asym_peaks)), float(peaks[1]) if circulant else np.inf
+            peaks.append(np.abs(buf, out=buf).max())
+    return float(np.max(peaks))
 
 
 def _fourier_spectrum(col: np.ndarray):
@@ -326,35 +306,37 @@ def spectral_decompose(
     falls below -neg_tol * max|lambda|: the kernel fails nonnegative
     definiteness at this grid's resolution.
 
-    K is checked first, in cache-sized blocks with no n x n temporary
-    (`_operator_maxima`: O(n^2) time, O(tile^2 + n) memory):
-    ValidationError if it has a non-finite entry, or if max|K - K^T|
-    exceeds 1e-12 * max|K|.  On a periodic grid the checks read K once
-    when it equals the circulant of its first column bit for bit, and
-    take max|K| and the asymmetry from that column; any other K is read
-    in row blocks and in tile pairs.  On a periodic grid, when K is the
-    circulant of its first column to within 1e-12 * max|K|, the spectrum
-    is taken in closed form: the eigenvalues are the real DFT of that
-    column and only the retained cos/sin eigenvectors are built,
-    O(n log n + n r) instead of eigh's O(n^3).
-    Any other K goes to eigh.  NumericalError if an eigenvalue comes out
-    non-finite (overflow of a finite K).
+    K is checked first by three reads, none with an n x n temporary.  On
+    a periodic grid `_is_circulant` asks whether K equals the circulant of
+    its first column bit for bit, as `build_operator_matrix` makes it.  If
+    so, every K_ij is col[(i - j) % n]: max|K| and max|K - K^T| come from
+    the column, and the spectrum is taken in closed form, the eigenvalues
+    the real DFT of the column and only the retained cos/sin eigenvectors
+    built, O(n log n + n r) instead of eigh's O(n^3).  Any other K goes to
+    eigh, even one a rounding error off a circulant; its max|K| is
+    max(max K, -min K), and `_asymmetry` takes max|K - K^T| over tile
+    pairs.  ValidationError if K has a non-finite entry, or if
+    max|K - K^T| exceeds 1e-12 * max|K|.  NumericalError if an eigenvalue
+    comes out non-finite (overflow of a finite K).
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (grid.n, grid.n):
         raise GridMismatchError(f"operator shape {K.shape} does not match n = {grid.n}")
     if rel_tol < 0.0 or neg_tol < 0.0:
         raise RangeError("rel_tol and neg_tol must be >= 0")
-    periodic = grid.boundary == "periodic"
-    with np.errstate(invalid="ignore"):  # inf - inf, when max|K| refuses K anyway
-        scale, asymmetry, circ_deviation = _operator_maxima(K, periodic)
+    closed_form = grid.boundary == "periodic" and _is_circulant(K)
+    col = K[:, 0]
+    scale = np.abs(col).max() if closed_form else max(K.max(), -K.min())
     if not np.isfinite(scale):
         raise ValidationError("operator matrix has non-finite entries")
+    if closed_form:  # each K_ij - K_ji is one of col[m] - col[-m % n]
+        asymmetry = np.abs(col - col[-np.arange(grid.n) % grid.n]).max()
+    else:
+        asymmetry = _asymmetry(K)
     if scale > 0.0 and asymmetry > 1e-12 * scale:
         raise ValidationError("operator matrix is not symmetric")
-    closed_form = periodic and circ_deviation <= 1e-12 * scale
     if closed_form:
-        w, freq, sine = _fourier_spectrum(K[:, 0])
+        w, freq, sine = _fourier_spectrum(col)
     else:
         w, V = linalg.eigh(K)
         w, V = w[::-1], V[:, ::-1]

@@ -156,6 +156,11 @@ class SimConfig:
             )
         if not (np.isfinite(self.clamp) and self.clamp > 0.0):
             raise RangeError(f"clamp must be positive, got {self.clamp!r}")
+        if self.t_final / self.dt >= np.iinfo(np.intp).max:
+            raise RangeError(
+                f"t_final / dt = {self.t_final / self.dt:.3g} steps is beyond "
+                "numpy's index range"
+            )
         if self.n_steps < 1:
             raise RangeError("t_final shorter than half a step")
 

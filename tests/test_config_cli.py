@@ -313,19 +313,50 @@ def test_cli_spectrum_non_finite_is_one_line(tmp_path, capsys, overrides, code, 
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+def cli_subprocess(out, *args):
+    """The CLI in a child process: pytest captures numpy's warnings
+    in-process, a child shows the stderr a user sees."""
+    env = dict(os.environ, PYTHONPATH=str(Path(amariflow.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "amariflow.cli", *args, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize("command", ["spectrum", "simulate"])
 def test_cli_overflow_is_one_line_in_a_subprocess(tmp_path, command):
-    # pytest captures numpy's warnings in-process; a child shows the stderr
-    # a user sees
-    env = dict(os.environ, PYTHONPATH=str(Path(amariflow.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "amariflow.cli", command, "--out", str(tmp_path),
-         "--override", "kernel.scale=1e308", "--override", "grid.a=-1e300",
-         "--override", "grid.b=1e300"],
-        capture_output=True, text=True, env=env, timeout=120,
+    proc = cli_subprocess(
+        tmp_path, command, "--override", "kernel.scale=1e308",
+        "--override", "grid.a=-1e300", "--override", "grid.b=1e300",
     )
     assert proc.returncode == 1
     assert proc.stderr == "error: ValidationError: operator matrix has non-finite entries\n"
+
+
+def test_cli_non_utf8_config_is_one_line_in_a_subprocess(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    proc = cli_subprocess(tmp_path / "out", "spectrum", "--config", str(bad))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: ParseError: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+    )
+
+
+# every size is 1e14 elements or more, beyond a 47-bit address space, so
+# each allocation fails at once
+@pytest.mark.parametrize("command, override, error", [
+    ("simulate", "sim.t_final=1e300", "RangeError: t_final / dt = 1e+302 steps"),
+    ("doss-sussmann-compare", "sim.ds_halvings=200", "RangeError: t_final / dt = "),
+    ("gibbs-compare", "gibbs.mcmc_steps=100000000000000000", "MemoryError: "),
+    ("check-kernel", "kernel.n_xi=100000000000000000", "MemoryError: "),
+    ("check-kernel", "kernel.gram_points=100000000000000", "MemoryError: "),
+])
+def test_cli_oversized_run_is_one_line_in_a_subprocess(tmp_path, command, override, error):
+    proc = cli_subprocess(tmp_path, command, "--override", override)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {error}")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_cli_simulate_outputs(tmp_path, capsys):

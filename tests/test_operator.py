@@ -39,7 +39,8 @@ from amariflow.errors import (
     RankExceededError,
     ValidationError,
 )
-from amariflow.operator import s_residual
+from amariflow.kernels import FAMILIES
+from amariflow.operator import BOUNDARIES, s_residual
 from conftest import constant_field, random_field_in_S
 
 CONSTANT_KERNEL = CosineSum(weights=(1.0,), freqs=(0.0,))  # J identically 1
@@ -153,6 +154,25 @@ def test_periodic_matrix_is_circulant():
     K = build_operator_matrix(Gaussian(width=0.3), g)
     for i in range(1, g.n):
         assert np.allclose(K[i], np.roll(K[0], i), rtol=0, atol=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.integers(1, 300),
+    a=st.floats(-50.0, 50.0),
+    length=st.floats(0.01, 100.0),
+    boundary=st.sampled_from(BOUNDARIES),
+)
+def test_built_operator_is_symmetric_and_periodic_one_exactly_circulant(
+    family, n, a, length, boundary
+):
+    # spectral_decompose takes its closed form only for an exact circulant
+    grid = Grid(a, a + length, n, boundary)
+    K = build_operator_matrix(FAMILIES[family](), grid)
+    assert np.array_equal(K, K.T)
+    if boundary == "periodic":
+        assert operator._is_circulant(K)
 
 
 def test_spectral_decomposition_properties(gauss_setup):
@@ -360,8 +380,7 @@ def test_spectrum_csv_roundtrip(gauss_setup, tmp_path):
 
 def eigh_decompose(K, grid):
     """spectral_decompose on its eigh path, whatever K is."""
-    maxima = operator._operator_maxima
-    with mock.patch.object(operator, "_operator_maxima", lambda K, circ: maxima(K, False)):
+    with mock.patch.object(operator, "_is_circulant", lambda K: False):
         return spectral_decompose(K, grid)
 
 
@@ -468,9 +487,12 @@ def test_truncated_decomposition_is_h_orthonormal(n, length, width):
 
 # -- the blocked checks on K ----------------------------------------------------
 
-def dense_maxima(K, circulant):
-    circ = np.abs(K - linalg.circulant(K[:, 0])).max() if circulant else np.inf
-    return np.abs(K).max(), np.abs(K - K.T).max(), circ
+def blocked_reads(K, tile):
+    return operator._asymmetry(K, tile), operator._is_circulant(K, tile)
+
+
+def dense_reads(K):
+    return np.abs(K - K.T).max(), np.array_equal(K, linalg.circulant(K[:, 0]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -479,10 +501,9 @@ def dense_maxima(K, circulant):
     kind=st.sampled_from(["symmetric", "circulant", "asymmetric circulant", "general"]),
     perturb=st.booleans(),
     tile=st.sampled_from([operator.TILE, 7]),
-    circulant=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_maxima_equal_dense(n, kind, perturb, tile, circulant, seed):
+def test_blocked_maxima_equal_dense(n, kind, perturb, tile, seed):
     rng = np.random.default_rng(seed)
     if kind == "symmetric":
         M = rng.normal(size=(n, n))
@@ -500,19 +521,18 @@ def test_blocked_maxima_equal_dense(n, kind, perturb, tile, circulant, seed):
     if perturb:
         i, j = rng.integers(n, size=2)
         K[i, j] += rng.choice([1e-13, 1e-6, 1.0]) * rng.normal()
-    got = operator._operator_maxima(K, circulant, tile)
-    assert got == dense_maxima(K, circulant)
+    assert blocked_reads(K, tile) == dense_reads(K)
 
 
 @pytest.mark.parametrize("n, tile", [(23, 7), (40, 7), (9, operator.TILE)])
 def test_blocked_maxima_see_every_entry(n, tile):
-    # a spike at any one entry sets all three maxima; n = 23 with tile 7
-    # reads K in blocks of two rows, the last one short
+    # a spike at any one entry sets the asymmetry and breaks circulance;
+    # n = 23 with tile 7 reads K in blocks of two rows, the last one short
     base = linalg.circulant(np.r_[2.0, np.ones(n - 1)])
     for i, j in np.ndindex(n, n):
         K = base.copy()
         K[i, j] = 10.0
-        assert operator._operator_maxima(K, True, tile) == dense_maxima(K, True), (i, j)
+        assert blocked_reads(K, tile) == dense_reads(K), (i, j)
 
 
 @pytest.mark.parametrize("side", [1.01, 0.99])
@@ -529,18 +549,21 @@ def test_asymmetry_in_last_partial_tile_flips_at_tolerance(boundary, side):
         spectral_decompose(K, grid)
 
 
-@pytest.mark.parametrize("side", [1.01, 0.99])
-def test_circulant_deviation_in_last_partial_tile_flips_at_tolerance(side):
+@pytest.mark.parametrize("side", [pytest.param(0.0, id="ulp"), 0.99, 1.01])
+def test_any_circulant_deviation_in_last_partial_tile_goes_to_eigh(side):
+    # a symmetric change of one entry pair, by one ulp of it or by about
+    # the 1e-12 * max|K| that the symmetry check allows: K stays symmetric
+    # but is no longer circulant
     n = 2 * operator.TILE + 44
     grid = Grid(-5.0, 5.0, n, "periodic")
     K = build_operator_matrix(Gaussian(width=0.5), grid)
-    d = side * 1e-12 * np.abs(K).max()
+    d = max(np.spacing(K[n - 1, n - 2]), side * 1e-12 * np.abs(K).max())
     K[n - 1, n - 2] += d
     K[n - 2, n - 1] += d
     eigh = operator.linalg.eigh
     with mock.patch.object(operator.linalg, "eigh", side_effect=eigh) as spy:
         spectral_decompose(K, grid)
-    assert spy.call_count == (1 if side > 1.0 else 0)
+    assert spy.call_count == 1
 
 
 def test_wide_periodic_decomposition_has_no_dense_temporaries():
