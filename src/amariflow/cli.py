@@ -197,9 +197,13 @@ def _cmd_ds_compare(cfg, out: Path) -> int:
     halvings = int(cfg.get("sim", "ds_halvings"))
     if halvings < 1:
         raise ValidationError(f"need ds_halvings >= 1, got {halvings}")
-    # every level is validated (its step count too) before the path is drawn
+    # every level is validated (its step count too) before the path is drawn;
+    # each runs to the coarse level's end, so level j has n_steps * 2**j steps
     levels = [
-        dataclasses.replace(sim, dt=sim.dt / 2**j, record_every=sim.record_every * 2**j)
+        dataclasses.replace(
+            sim, dt=sim.dt / 2**j, t_final=sim.effective_t_final,
+            record_every=sim.record_every * 2**j,
+        )
         for j in range(halvings + 1)
     ]
     fine = sample_noise_increments(noise, dec, levels[-1].dt, sim.n_steps * 2**halvings)

@@ -24,7 +24,7 @@ from enum import Enum
 from typing import ClassVar
 
 import numpy as np
-from scipy import integrate, linalg
+from scipy import linalg
 
 from .errors import (
     AtomicSpectrumError,
@@ -547,6 +547,8 @@ def invert_density(kernel: Kernel, x: float) -> float:
     slowly-decaying Lorentzian-tail densities this is the only route to
     1e-6 absolute accuracy at reasonable cost.
     """
+    from scipy import integrate  # imported here: no other caller, and slow to load
+
     ax = abs(float(x))
 
     def g(xi):

@@ -144,12 +144,26 @@ def _column(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 
 def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """Dense h * J(d) matrix, exactly symmetric by construction: J is
+    """The n x n matrix h * J(d), exactly symmetric by construction: J is
     evaluated on |d|, which is a symmetric matrix, and on a periodic grid K
     is the circulant of a symmetric column.  Subnormal entries are flushed
-    to zero."""
+    to zero.
+
+    On a truncated grid K is a dense, writable array.  On a periodic grid it
+    is a read-only strided view of 2n - 1 doubles, the view that
+    `scipy.linalg.circulant` builds before its final copy: every entry
+    equals that circulant's bit for bit, but it holds O(n) memory (16 KB at
+    n = 2048 instead of 32 MB).  Writing into it raises ValueError; use
+    `K.copy()` for a dense array to edit.  `K @ v` on the view runs numpy's
+    non-BLAS loop, slower than the dense product and equal to it only to
+    rounding; apply K with `apply_operator` instead."""
     if grid.boundary == "periodic":
-        return linalg.circulant(_column(kernel, grid))
+        c = _column(kernel, grid)
+        ext = np.concatenate((c[::-1], c[:0:-1]))
+        s = ext.itemsize
+        return np.lib.stride_tricks.as_strided(
+            ext[grid.n - 1 :], (grid.n, grid.n), (-s, s), writeable=False
+        )
     d = np.abs(grid.nodes[:, None] - grid.nodes[None, :])
     return _flush_subnormals(grid.h * kernel.evaluate(d))
 

@@ -477,6 +477,29 @@ def test_cli_ds_compare(tmp_path, capsys):
     assert 1.5 <= float(first[2]) <= 3.0
 
 
+def test_cli_ds_compare_dt_not_dividing_t_final(tmp_path, capsys):
+    # t_final = 1 is 33.3 steps of 0.03: every level runs to 33 * 0.03
+    code = main([
+        "doss-sussmann-compare", "--out", str(tmp_path), "--override", "sim.dt=0.03",
+    ])
+    assert code == 0
+    rows = np.loadtxt(tmp_path / "ds_compare.csv", delimiter=",", skiprows=1, usecols=(0, 1))
+    assert rows.shape == (4, 2)
+    assert np.isfinite(rows[:, 1]).all()
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # only kernels.invert_density needs it, and it is slow to load
+    env = dict(os.environ, PYTHONPATH=str(Path(amariflow.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, amariflow.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_cli_gibbs_compare(tmp_path, capsys):
     code = main([
         "gibbs-compare", "--out", str(tmp_path),

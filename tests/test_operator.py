@@ -175,6 +175,40 @@ def test_built_operator_is_symmetric_and_periodic_one_exactly_circulant(
         assert operator._is_circulant(K)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 2048])
+@pytest.mark.parametrize("family", ["gaussian", "exponential", "sinc", "mexican_hat_gauss"])
+def test_periodic_operator_is_a_read_only_circulant_view(family, n):
+    kernel = FAMILIES[family]()
+    grid = Grid(-10.0, 10.0, n, "periodic")
+    K = build_operator_matrix(kernel, grid)
+    assert np.array_equal(K, linalg.circulant(operator._column(kernel, grid)))
+    assert not K.flags.writeable
+    with pytest.raises(ValueError):
+        K[0, 0] = 1.0
+
+
+def test_periodic_operator_assembles_in_linear_memory():
+    # the dense circulant would be 33.6 MB
+    grid = Grid(-10.0, 10.0, 2048, "periodic")
+    tracemalloc.start()
+    try:
+        build_operator_matrix(Gaussian(width=0.5), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+def test_periodic_view_decomposes_as_its_dense_copy():
+    grid = Grid(-10.0, 10.0, 2048, "periodic")
+    K = build_operator_matrix(Gaussian(width=0.5), grid)
+    view, dense = spectral_decompose(K, grid), spectral_decompose(K.copy(), grid)
+    assert np.array_equal(view.lambdas, dense.lambdas)
+    assert np.array_equal(view.eigenfields, dense.eigenfields)
+    assert view.threshold == dense.threshold
+    assert view.discarded_max == dense.discarded_max
+
+
 def test_spectral_decomposition_properties(gauss_setup):
     kernel, grid, dec = gauss_setup
     assert dec.rank >= 8
@@ -540,7 +574,7 @@ def test_blocked_maxima_see_every_entry(n, tile):
 def test_asymmetry_in_last_partial_tile_flips_at_tolerance(boundary, side):
     n = 2 * operator.TILE + 44
     grid = Grid(-5.0, 5.0, n, boundary)
-    K = build_operator_matrix(Gaussian(width=0.5), grid)
+    K = build_operator_matrix(Gaussian(width=0.5), grid).copy()
     K[n - 1, n - 2] += side * 1e-12 * np.abs(K).max()
     if side > 1.0:
         with pytest.raises(ValidationError, match="not symmetric"):
@@ -556,7 +590,7 @@ def test_any_circulant_deviation_in_last_partial_tile_goes_to_eigh(side):
     # but is no longer circulant
     n = 2 * operator.TILE + 44
     grid = Grid(-5.0, 5.0, n, "periodic")
-    K = build_operator_matrix(Gaussian(width=0.5), grid)
+    K = build_operator_matrix(Gaussian(width=0.5), grid).copy()
     d = max(np.spacing(K[n - 1, n - 2]), side * 1e-12 * np.abs(K).max())
     K[n - 1, n - 2] += d
     K[n - 2, n - 1] += d
@@ -567,7 +601,7 @@ def test_any_circulant_deviation_in_last_partial_tile_goes_to_eigh(side):
 
 
 def test_wide_periodic_decomposition_has_no_dense_temporaries():
-    # K itself is 33.5 MB; a single n x n temporary would be as large
+    # K is a 16 KB view; a single n x n temporary would be 33.6 MB
     grid = Grid(-10.0, 10.0, 2048, "periodic")
     K = build_operator_matrix(Gaussian(width=0.5), grid)
     tracemalloc.start()
@@ -583,7 +617,7 @@ def test_wide_periodic_decomposition_has_no_dense_temporaries():
 @pytest.mark.parametrize("boundary", ["truncated", "periodic"])
 def test_non_finite_operator_is_refused(boundary, bad):
     grid = Grid(-4.0, 4.0, 64, boundary)
-    K = build_operator_matrix(Gaussian(width=0.3), grid)
+    K = build_operator_matrix(Gaussian(width=0.3), grid).copy()
     K[17, 40] = bad  # off the first column, which the circulant check copies
     with pytest.raises(ValidationError, match="non-finite entries"):
         spectral_decompose(K, grid)

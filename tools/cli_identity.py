@@ -50,6 +50,8 @@ CASES = (
     # grid white noise leaves the trust region before t = 20: exit code 2
     ("fig1", ("sim.t_final=20", "noise.mode=white", "sim.epsilon=0.5")),
     ("simulate", (*WIDE_PERIODIC, "sim.t_final=1")),
+    # the closed-form spectrum of the n = 2048 circulant
+    ("spectrum", WIDE_PERIODIC),
     # periodic grids on the closed-form spectrum and the FFT drift
     ("galerkin-compare", ("grid.boundary=periodic", "kernel.width=0.3")),
     ("energy-trace", ("grid.boundary=periodic", "kernel.width=0.3")),
