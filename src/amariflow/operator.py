@@ -248,10 +248,23 @@ TILE = 128  # 128 KB of float64, so a tile and its transposed partner sit in L2
 
 
 def _is_circulant(K: np.ndarray, tile: int = TILE) -> bool:
-    """Whether K equals circulant(K[:, 0]) bit for bit.  K is compared in
-    blocks of whole rows, about tile^2 entries each, into a small bool
-    buffer, stopping at the first block that differs; a NaN never compares
-    equal."""
+    """Whether K equals circulant(K[:, 0]) bit for bit; a NaN never
+    compares equal.  A K with strides (-itemsize, itemsize), such as every
+    periodic K of `build_operator_matrix`, is Toeplitz by its layout, each
+    K_ij one base entry shifted by j - i, so it is recognised in O(n): it
+    is that circulant exactly when its first row equals its reversed column
+    and the column holds no NaN.  Any other array, a dense `K.copy()`
+    included, goes to `_tiled_is_circulant`."""
+    if K.strides == (-K.itemsize, K.itemsize):
+        col = K[:, 0]
+        return bool(np.equal(K[0, 1:], col[:0:-1]).all() and not np.isnan(col).any())
+    return _tiled_is_circulant(K, tile)
+
+
+def _tiled_is_circulant(K: np.ndarray, tile: int = TILE) -> bool:
+    """`_is_circulant` for any layout: K is compared in blocks of whole
+    rows, about tile^2 entries each, into a small bool buffer, stopping at
+    the first block that differs."""
     n = K.shape[0]
     rows = max(1, tile * tile // n)
     # row i of the circulant is window n - 1 - i of c reversed, twice over
@@ -300,10 +313,15 @@ def _fourier_spectrum(col: np.ndarray):
 
 
 def _fourier_vectors(freq: np.ndarray, sine: np.ndarray, n: int) -> np.ndarray:
-    """Unit Euclidean eigenvectors cos(2 pi k j / n) or sin(2 pi k j / n)."""
-    phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), freq) % n)
-    V = np.cos(phase)
-    V[:, sine] = np.sin(phase[:, sine])
+    """Unit Euclidean eigenvectors cos(2 pi k j / n) or sin(2 pi k j / n),
+    gathered from one cos and one sin table of the n phases 2 pi m / n at
+    m = (j k) % n: O(n + n r) instead of n r calls to cos or sin, and each
+    entry the same double as the direct evaluation."""
+    phase = (2.0 * np.pi / n) * np.arange(n)
+    m = np.multiply.outer(np.arange(n), freq)
+    m %= n
+    V = np.cos(phase)[m]
+    V[:, sine] = np.sin(phase)[m[:, sine]]
     V /= np.sqrt(np.where((freq == 0) | (2 * freq == n), n, n / 2.0))
     return V
 
@@ -322,14 +340,16 @@ def spectral_decompose(
 
     K is checked first by three reads, none with an n x n temporary.  On
     a periodic grid `_is_circulant` asks whether K equals the circulant of
-    its first column bit for bit, as `build_operator_matrix` makes it.  If
-    so, every K_ij is col[(i - j) % n]: max|K| and max|K - K^T| come from
-    the column, and the spectrum is taken in closed form, the eigenvalues
-    the real DFT of the column and only the retained cos/sin eigenvectors
-    built, O(n log n + n r) instead of eigh's O(n^3).  Any other K goes to
-    eigh, even one a rounding error off a circulant; its max|K| is
-    max(max K, -min K), and `_asymmetry` takes max|K - K^T| over tile
-    pairs.  ValidationError if K has a non-finite entry, or if
+    its first column bit for bit, as `build_operator_matrix` makes it; it
+    recognises that view in O(n) from its layout, while a dense array
+    keeps the tiled compare.  If so, every K_ij is col[(i - j) % n]:
+    max|K| and max|K - K^T| come from the column, and the spectrum is
+    taken in closed form, the eigenvalues the real DFT of the column and
+    only the retained cos/sin eigenvectors built from one table, so the
+    periodic set-up is O(n log n + n r) instead of eigh's O(n^3).  Any
+    other K goes to eigh, even one a rounding error off a circulant; its
+    max|K| is max(max K, -min K), and `_asymmetry` takes max|K - K^T|
+    over tile pairs.  ValidationError if K has a non-finite entry, or if
     max|K - K^T| exceeds 1e-12 * max|K|.  NumericalError if an eigenvalue
     comes out non-finite (overflow of a finite K).
     """
@@ -352,7 +372,8 @@ def spectral_decompose(
     if closed_form:
         w, freq, sine = _fourier_spectrum(col)
     else:
-        w, V = linalg.eigh(K)
+        # the finite scale above already proves every entry finite
+        w, V = linalg.eigh(K, check_finite=False)
         w, V = w[::-1], V[:, ::-1]
     if not np.isfinite(w).all():
         raise NumericalError("operator spectrum has non-finite eigenvalues")
@@ -374,12 +395,12 @@ def spectral_decompose(
         piv = np.argmax(np.abs(V), axis=0)
         signs = np.sign(V[piv, np.arange(V.shape[1])])
         signs[signs == 0.0] = 1.0
-        V = V * signs
-    eigenfields = V / np.sqrt(grid.h)
+        V *= signs
+    V /= np.sqrt(grid.h)
     return SpectralDecomposition(
         grid=grid,
         lambdas=w,
-        eigenfields=np.ascontiguousarray(eigenfields),
+        eigenfields=np.ascontiguousarray(V),
         threshold=tau,
         discarded_max=discarded_max,
     )

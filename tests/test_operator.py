@@ -199,14 +199,30 @@ def test_periodic_operator_assembles_in_linear_memory():
     assert peak < 1e6, peak
 
 
-def test_periodic_view_decomposes_as_its_dense_copy():
-    grid = Grid(-10.0, 10.0, 2048, "periodic")
-    K = build_operator_matrix(Gaussian(width=0.5), grid)
-    view, dense = spectral_decompose(K, grid), spectral_decompose(K.copy(), grid)
-    assert np.array_equal(view.lambdas, dense.lambdas)
-    assert np.array_equal(view.eigenfields, dense.eigenfields)
-    assert view.threshold == dense.threshold
-    assert view.discarded_max == dense.discarded_max
+@pytest.mark.parametrize("n", [127, 128, 2048])
+@pytest.mark.parametrize(
+    "family", ["gaussian", "exponential", "sinc", "cosine_sum", "mexican_hat_gauss"]
+)
+def test_periodic_view_decomposes_as_its_dense_copy(family, n):
+    # the view is recognised from its layout, the copy by the tiled
+    # compare; both must reach the same bits, or the same refusal
+    grid = Grid(-10.0, 10.0, n, "periodic")
+    K = build_operator_matrix(FAMILIES[family](), grid)
+    outcomes = []
+    tiled = operator._tiled_is_circulant
+    with mock.patch.object(operator, "_tiled_is_circulant", side_effect=tiled) as spy:
+        for M, tiled_calls in ((K, 0), (K.copy(), 1)):
+            try:
+                dec = spectral_decompose(M, grid)
+            except NotNonnegativeError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append(
+                    (dec.lambdas.tobytes(), dec.eigenfields.tobytes(),
+                     dec.threshold, dec.discarded_max)
+                )
+            assert spy.call_count == tiled_calls
+    assert outcomes[0] == outcomes[1]
 
 
 def test_spectral_decomposition_properties(gauss_setup):
@@ -556,6 +572,44 @@ def test_blocked_maxima_equal_dense(n, kind, perturb, tile, seed):
         i, j = rng.integers(n, size=2)
         K[i, j] += rng.choice([1e-13, 1e-6, 1.0]) * rng.normal()
     assert blocked_reads(K, tile) == dense_reads(K)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    periodic=st.booleans(),
+    plant=st.sampled_from([None, np.nan, -0.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_strided_toeplitz_view_is_judged_as_dense(n, periodic, plant, seed):
+    # K[i, j] = base[n - 1 + j - i]; entries in {-1, 0, 1} make chance
+    # circulants and zeros that a planted -0.0 can meet
+    rng = np.random.default_rng(seed)
+    if periodic:
+        c = rng.integers(-1, 2, size=n).astype(float)
+        base = np.concatenate((c[::-1], c[:0:-1]))
+    else:
+        base = rng.integers(-1, 2, size=2 * n - 1).astype(float)
+    if plant is not None:
+        base[rng.integers(base.size)] = plant
+    s = base.itemsize
+    K = np.lib.stride_tricks.as_strided(base[n - 1 :], (n, n), (-s, s))
+    no_tiled = AssertionError("tiled compare")
+    with mock.patch.object(operator, "_tiled_is_circulant", side_effect=no_tiled):
+        verdict = operator._is_circulant(K)
+    assert verdict == np.array_equal(K, linalg.circulant(K[:, 0]))
+
+
+def test_fourier_vectors_are_bitwise_the_direct_evaluation():
+    # every frequency of every n up to 300: 0, both members of each pair,
+    # and the Nyquist column of even n
+    for n in range(1, 301):
+        _, freq, sine = operator._fourier_spectrum(np.zeros(n))
+        phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), freq) % n)
+        direct = np.where(sine, np.sin(phase), np.cos(phase))
+        direct /= np.sqrt(np.where((freq == 0) | (2 * freq == n), n, n / 2.0))
+        V = operator._fourier_vectors(freq, sine, n)
+        assert V.tobytes() == direct.tobytes(), n
 
 
 @pytest.mark.parametrize("n, tile", [(23, 7), (40, 7), (9, operator.TILE)])

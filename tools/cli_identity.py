@@ -55,6 +55,12 @@ CASES = (
     # periodic grids on the closed-form spectrum and the FFT drift
     ("galerkin-compare", ("grid.boundary=periodic", "kernel.width=0.3")),
     ("energy-trace", ("grid.boundary=periodic", "kernel.width=0.3")),
+    # full rank on an odd and an even periodic grid: the odd-n basis, and
+    # the Nyquist column retained
+    *(
+        ("galerkin-compare", ("kernel.family=exponential", "grid.boundary=periodic", f"grid.n={n}"))
+        for n in (127, 128)
+    ),
 )
 
 
