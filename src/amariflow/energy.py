@@ -179,8 +179,8 @@ def grad_theta(dec: SpectralDecomposition, gain: GainSpec, alpha: float, u: Fiel
 
 def fd_directional(functional, u: Field, direction: Field, t: float) -> float:
     """Central finite difference of a functional along a direction."""
-    if t <= 0.0:
-        raise RangeError(f"step t must be positive, got {t!r}")
+    if not (np.isfinite(t) and t > 0.0):
+        raise RangeError(f"step t must be positive and finite, got {t!r}")
     up = Field(u.grid, u.values + t * direction.values)
     dn = Field(u.grid, u.values - t * direction.values)
     return (functional(up) - functional(dn)) / (2.0 * t)

@@ -34,15 +34,11 @@ from .errors import (
 )
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-# Upper end of the window for the numeric transform of a kernel without a
-# closed-form density (`bochner_numeric_check` with quad_fallback).
-WINDOW = 50.0
 
 
 class Verdict(str, Enum):
     NONNEGATIVE_DEFINITE = "nonnegative_definite"
     INDEFINITE = "indefinite"
-    NUMERIC_ONLY = "numeric_only"
 
 
 @dataclass(frozen=True)
@@ -335,7 +331,7 @@ class MexicanHatGauss(Kernel):
         else:
             xi_max = 10.0
             reason = "s > sqrt(2)/amp: wide component dominates at xi = 0"
-        witness = _density_argmin(self, xi_max)
+        witness, _ = _density_min(self, xi_max)
         return Classification(Verdict.INDEFINITE, witness=witness, reason=reason)
 
 
@@ -385,7 +381,7 @@ class MexicanHatExp(Kernel):
             return Classification(
                 Verdict.NONNEGATIVE_DEFINITE, reason="ratio <= gamma2/gamma1"
             )
-        witness = _density_argmin(self, 5.0 * self.gamma1)
+        witness, _ = _density_min(self, 5.0 * self.gamma1)
         return Classification(
             Verdict.INDEFINITE,
             witness=witness,
@@ -468,10 +464,13 @@ FAMILIES = {
 }
 
 
-def _density_argmin(kernel: Kernel, xi_max: float) -> float:
-    grid = np.linspace(0.0, xi_max, 8001)
+def _density_min(kernel: Kernel, xi_max: float, n: int = 8001) -> tuple[float, float]:
+    """(xi, g(xi)) at the smallest density value on n equispaced points of
+    [0, xi_max]; AtomicSpectrum for a kernel without a density."""
+    grid = np.linspace(0.0, xi_max, n)
     vals = kernel.fourier_density(grid)
-    return float(grid[int(np.argmin(vals))])
+    k = int(np.argmin(vals))
+    return float(grid[k]), float(vals[k])
 
 
 def gram_min_eigenvalue(kernel: Kernel, points) -> float:
@@ -488,54 +487,24 @@ def bochner_numeric_check(
     xi_max: float = 20.0,
     n_xi: int = 2001,
     tol: float = 1e-8,
-    quad_fallback: bool = False,
 ) -> Classification:
-    """Sweep the spectral density on [0, xi_max] and compare against -tol.
-
-    Families without a closed-form density raise AtomicSpectrum unless
-    `quad_fallback` is set, in which case a cosine transform of J over
-    [0, WINDOW] is swept instead and the verdict is always NumericOnly:
-    windowing of a non-decaying J leaks sign errors of order 1/WINDOW, so
-    the sweep is evidence, not proof, in either direction.
-    """
-    if xi_max <= 0.0 or n_xi < 2:
-        raise RangeError(f"need xi_max > 0 and n_xi >= 2, got {xi_max!r}, {n_xi!r}")
-    grid = np.linspace(0.0, xi_max, n_xi)
-    if kernel.has_density():
-        vals = kernel.fourier_density(grid)
-        kmin = int(np.argmin(vals))
-        vmin = float(vals[kmin])
-        if vmin >= -tol:
-            return Classification(
-                Verdict.NONNEGATIVE_DEFINITE,
-                reason=f"min {vmin:.3e} >= -tol (closed-form density sweep)",
-            )
+    """Sweep the closed-form spectral density on n_xi points of [0, xi_max]
+    and compare its minimum against -tol.  A kernel with atomic spectrum
+    has no density to sweep and raises AtomicSpectrum."""
+    if not (np.isfinite(xi_max) and xi_max > 0.0) or n_xi < 2:
+        raise RangeError(f"need finite xi_max > 0 and n_xi >= 2, got {xi_max!r}, {n_xi!r}")
+    xi, vmin = _density_min(kernel, xi_max, n_xi)
+    if vmin >= -tol:
         return Classification(
-            Verdict.INDEFINITE,
-            witness=float(grid[kmin]),
-            reason=(
-                f"density minimum {vmin:.3e} < -tol at xi = {grid[kmin]:.6g}"
-                " (closed-form density sweep)"
-            ),
+            Verdict.NONNEGATIVE_DEFINITE,
+            reason=f"min {vmin:.3e} >= -tol (closed-form density sweep)",
         )
-    if not quad_fallback:
-        # Propagates AtomicSpectrum.
-        kernel.fourier_density(grid)
-        raise AssertionError("unreachable")
-    x = np.linspace(0.0, WINDOW, 20001)
-    jx = kernel.evaluate(x)
-    # Even integrand: hat(g)(xi) ~= 2/sqrt(2 pi) * int_0^W J(x) cos(xi x) dx
-    vals = (2.0 / SQRT_2PI) * np.trapezoid(
-        jx[None, :] * np.cos(grid[:, None] * x[None, :]), x, axis=1
-    )
-    kmin = int(np.argmin(vals))
-    vmin = float(vals[kmin])
-    sign = "nonnegative" if vmin >= -tol else "negative-valued"
     return Classification(
-        Verdict.NUMERIC_ONLY,
+        Verdict.INDEFINITE,
+        witness=xi,
         reason=(
-            f"windowed transform (window {WINDOW}) is {sign}, min {vmin:.3e}"
-            f" at xi = {grid[kmin]:.6g}; inconclusive for a non-decaying kernel"
+            f"density minimum {vmin:.3e} < -tol at xi = {xi:.6g}"
+            " (closed-form density sweep)"
         ),
     )
 

@@ -247,35 +247,29 @@ class SpectralDecomposition:
 TILE = 128  # 128 KB of float64, so a tile and its transposed partner sit in L2
 
 
-def _is_circulant(K: np.ndarray, tile: int = TILE) -> bool:
+def _is_circulant(K: np.ndarray) -> bool:
     """Whether K equals circulant(K[:, 0]) bit for bit; a NaN never
     compares equal.  A K with strides (-itemsize, itemsize), such as every
     periodic K of `build_operator_matrix`, is Toeplitz by its layout, each
     K_ij one base entry shifted by j - i, so it is recognised in O(n): it
     is that circulant exactly when its first row equals its reversed column
     and the column holds no NaN.  Any other array, a dense `K.copy()`
-    included, goes to `_tiled_is_circulant`."""
+    included, goes to `_dense_is_circulant`."""
     if K.strides == (-K.itemsize, K.itemsize):
         col = K[:, 0]
         return bool(np.equal(K[0, 1:], col[:0:-1]).all() and not np.isnan(col).any())
-    return _tiled_is_circulant(K, tile)
+    return _dense_is_circulant(K)
 
 
-def _tiled_is_circulant(K: np.ndarray, tile: int = TILE) -> bool:
-    """`_is_circulant` for any layout: K is compared in blocks of whole
-    rows, about tile^2 entries each, into a small bool buffer, stopping at
-    the first block that differs."""
+def _dense_is_circulant(K: np.ndarray) -> bool:
+    """`_is_circulant` for any layout, entry by entry against the circulant
+    as a view of its doubled column; the only temporary is an n x n bool
+    array, 1/8 of K."""
     n = K.shape[0]
-    rows = max(1, tile * tile // n)
     # row i of the circulant is window n - 1 - i of c reversed, twice over
     rc = K[::-1, 0]
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((rc, rc)), n)
-    same = np.empty((rows, n), dtype=bool)
-    for i in range(0, n, rows):
-        j = min(i + rows, n)
-        if not np.equal(K[i:j], windows[n - j : n - i][::-1], out=same[: j - i]).all():
-            return False
-    return True
+    return bool(np.equal(K, windows[n - 1 :: -1]).all())
 
 
 def _asymmetry(K: np.ndarray, tile: int = TILE) -> float:
@@ -334,15 +328,17 @@ def spectral_decompose(
 ) -> SpectralDecomposition:
     """Eigendecompose the discretized operator and retain lambda > tau.
 
-    tau = rel_tol * lambda_max.  Raises NotNonnegative if any eigenvalue
+    tau = rel_tol * lambda_max; rel_tol and neg_tol must be finite and
+    >= 0 (RangeError).  Raises NotNonnegative if any eigenvalue
     falls below -neg_tol * max|lambda|: the kernel fails nonnegative
     definiteness at this grid's resolution.
 
-    K is checked first by three reads, none with an n x n temporary.  On
-    a periodic grid `_is_circulant` asks whether K equals the circulant of
-    its first column bit for bit, as `build_operator_matrix` makes it; it
-    recognises that view in O(n) from its layout, while a dense array
-    keeps the tiled compare.  If so, every K_ij is col[(i - j) % n]:
+    K is checked first by three reads, none with an n x n float
+    temporary.  On a periodic grid `_is_circulant` asks whether K equals
+    the circulant of its first column bit for bit, as
+    `build_operator_matrix` makes it; it recognises that view in O(n) from
+    its layout, and compares a dense array entry by entry into one n x n
+    bool array.  If so, every K_ij is col[(i - j) % n]:
     max|K| and max|K - K^T| come from the column, and the spectrum is
     taken in closed form, the eigenvalues the real DFT of the column and
     only the retained cos/sin eigenvectors built from one table, so the
@@ -356,8 +352,8 @@ def spectral_decompose(
     K = np.asarray(K, dtype=float)
     if K.shape != (grid.n, grid.n):
         raise GridMismatchError(f"operator shape {K.shape} does not match n = {grid.n}")
-    if rel_tol < 0.0 or neg_tol < 0.0:
-        raise RangeError("rel_tol and neg_tol must be >= 0")
+    if not all(np.isfinite(t) and t >= 0.0 for t in (rel_tol, neg_tol)):
+        raise RangeError(f"need finite rel_tol, neg_tol >= 0, got {rel_tol!r}, {neg_tol!r}")
     closed_form = grid.boundary == "periodic" and _is_circulant(K)
     col = K[:, 0]
     scale = np.abs(col).max() if closed_form else max(K.max(), -K.min())

@@ -224,8 +224,8 @@ def sample_noise_increments(
     derive_rng(s, 0) for 300 and then 200 steps give the rows of one
     500-step draw with seed s.  Such a path records noise.seed.
     """
-    if dt <= 0.0 or steps < 1:
-        raise RangeError(f"need dt > 0 and steps >= 1, got {dt!r}, {steps!r}")
+    if not (np.isfinite(dt) and dt > 0.0) or steps < 1:
+        raise RangeError(f"need finite dt > 0 and steps >= 1, got {dt!r}, {steps!r}")
     if isinstance(seed, np.random.Generator):
         rng, seed = seed, noise.seed
     else:
@@ -422,11 +422,10 @@ def em_simulate_full(
         raise DimensionMismatchError(
             f"operator matrix has shape {K.shape}, grid has {grid.n} nodes"
         )
-    matvec = None
     if grid.boundary == "periodic":
-        matvec, K = _fft_matvec(kernel, grid), None
-    elif K is None:
-        K = build_operator_matrix(kernel, grid)
+        matvec = _fft_matvec(kernel, grid)
+    else:
+        matvec = (build_operator_matrix(kernel, grid) if K is None else K).dot
     target, dim = grid, grid.n
     if noise.mode == "spectral" and cfg.epsilon > 0.0:
         if dec is None:
@@ -446,8 +445,7 @@ def em_simulate_full(
     def step(w):
         nonlocal u
         fu = gain.f(u)
-        Kf = K @ fu if matvec is None else matvec(fu)
-        du = cfg.dt * (-cfg.alpha * u + Kf)
+        du = cfg.dt * (-cfg.alpha * u + matvec(fu))
         if w is not None:
             du += w
         u = u + du

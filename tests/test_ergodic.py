@@ -137,8 +137,6 @@ def test_metropolis_validation_and_determinism(gauss_setup):
         rw_metropolis(tgt, steps=10, burn_in=-1)
     with pytest.raises(RangeError):
         rw_metropolis(tgt, steps=10, step_scale=0.0)
-    with pytest.raises(DimensionMismatchError):
-        rw_metropolis(tgt, steps=10, x0=np.zeros(3))
     a, acc_a = rw_metropolis(tgt, steps=200, seed=5)
     b, acc_b = rw_metropolis(tgt, steps=200, seed=5)
     assert np.array_equal(a, b) and acc_a == acc_b
@@ -242,9 +240,6 @@ def test_compare_measures_agreement_and_shift():
     rep2 = compare_measures(stream[:20000], shifted)
     assert not rep2.passed
     assert np.all(np.abs(rep2.mean_z) > 10.0)
-    # same data at an impossible threshold
-    rep3 = compare_measures(stream[:20000], stream[20000:], threshold=1e-6)
-    assert not rep3.passed
 
 
 def test_compare_measures_mixed_inputs():

@@ -210,14 +210,11 @@ def test_bochner_fixed_tolerance_blind_spots():
         assert loose.verdict == Verdict.NONNEGATIVE_DEFINITE
 
 
-def test_bochner_fallback_is_evidence_only():
-    # windowed transforms of non-decaying kernels leak; the verdict must not
-    # claim indefiniteness even though the leaked sweep dips negative
+def test_bochner_check_refuses_atomic_spectrum():
+    # no density to sweep: the check cannot decide, so it refuses
     for kernel in ATOMIC_KERNELS:
-        res = bochner_numeric_check(kernel, quad_fallback=True)
-        assert res.verdict == Verdict.NUMERIC_ONLY
-    with pytest.raises(AtomicSpectrumError):
-        bochner_numeric_check(CosineSum(weights=(1.0,), freqs=(1.0,)))
+        with pytest.raises(AtomicSpectrumError):
+            bochner_numeric_check(kernel)
 
 
 def test_gram_cosine_two_points():

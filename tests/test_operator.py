@@ -204,14 +204,14 @@ def test_periodic_operator_assembles_in_linear_memory():
     "family", ["gaussian", "exponential", "sinc", "cosine_sum", "mexican_hat_gauss"]
 )
 def test_periodic_view_decomposes_as_its_dense_copy(family, n):
-    # the view is recognised from its layout, the copy by the tiled
+    # the view is recognised from its layout, the copy by the entry-by-entry
     # compare; both must reach the same bits, or the same refusal
     grid = Grid(-10.0, 10.0, n, "periodic")
     K = build_operator_matrix(FAMILIES[family](), grid)
     outcomes = []
-    tiled = operator._tiled_is_circulant
-    with mock.patch.object(operator, "_tiled_is_circulant", side_effect=tiled) as spy:
-        for M, tiled_calls in ((K, 0), (K.copy(), 1)):
+    dense = operator._dense_is_circulant
+    with mock.patch.object(operator, "_dense_is_circulant", side_effect=dense) as spy:
+        for M, dense_calls in ((K, 0), (K.copy(), 1)):
             try:
                 dec = spectral_decompose(M, grid)
             except NotNonnegativeError as exc:
@@ -221,7 +221,7 @@ def test_periodic_view_decomposes_as_its_dense_copy(family, n):
                     (dec.lambdas.tobytes(), dec.eigenfields.tobytes(),
                      dec.threshold, dec.discarded_max)
                 )
-            assert spy.call_count == tiled_calls
+            assert spy.call_count == dense_calls
     assert outcomes[0] == outcomes[1]
 
 
@@ -538,7 +538,7 @@ def test_truncated_decomposition_is_h_orthonormal(n, length, width):
 # -- the blocked checks on K ----------------------------------------------------
 
 def blocked_reads(K, tile):
-    return operator._asymmetry(K, tile), operator._is_circulant(K, tile)
+    return operator._asymmetry(K, tile), operator._is_circulant(K)
 
 
 def dense_reads(K):
@@ -594,8 +594,8 @@ def test_strided_toeplitz_view_is_judged_as_dense(n, periodic, plant, seed):
         base[rng.integers(base.size)] = plant
     s = base.itemsize
     K = np.lib.stride_tricks.as_strided(base[n - 1 :], (n, n), (-s, s))
-    no_tiled = AssertionError("tiled compare")
-    with mock.patch.object(operator, "_tiled_is_circulant", side_effect=no_tiled):
+    no_dense = AssertionError("entry-by-entry compare")
+    with mock.patch.object(operator, "_dense_is_circulant", side_effect=no_dense):
         verdict = operator._is_circulant(K)
     assert verdict == np.array_equal(K, linalg.circulant(K[:, 0]))
 

@@ -12,19 +12,23 @@ from amariflow import (
     Field,
     GainSpec,
     Gaussian,
+    GibbsTarget,
     Grid,
     NoisePath,
     NoiseSpec,
     SimConfig,
     TrajectoryRecord,
     apply_operator,
+    bochner_numeric_check,
     build_operator_matrix,
     convergence_table,
     detect_switches,
     doss_sussmann_simulate,
     em_simulate_full,
+    fd_directional,
     galerkin_simulate,
     invariance_monitor,
+    rw_metropolis,
     sample_noise_increments,
     spectral_decompose,
     write_trajectory_csv,
@@ -760,3 +764,29 @@ def test_periodic_em_step_is_apply_operator(periodic_setup):
     tr = em_simulate_full(kernel, grid, gain, NoiseSpec(), cfg)
     Kf = apply_operator(kernel, grid, Field(grid, gain.f(u0.values))).values
     assert np.array_equal(u0.values + cfg.dt * (-cfg.alpha * u0.values + Kf), tr.states[1])
+
+
+# A NaN compares false against every bound, so each guard of a positive
+# (or nonnegative) argument must also ask for a finite value.
+NON_FINITE_CALLS = {
+    "spectral_decompose-rel_tol": lambda kernel, grid, dec, x: spectral_decompose(
+        build_operator_matrix(kernel, grid), grid, rel_tol=x),
+    "spectral_decompose-neg_tol": lambda kernel, grid, dec, x: spectral_decompose(
+        build_operator_matrix(kernel, grid), grid, neg_tol=x),
+    "sample_noise_increments-dt": lambda kernel, grid, dec, x: sample_noise_increments(
+        NoiseSpec(), dec, x, 10),
+    "rw_metropolis-step_scale": lambda kernel, grid, dec, x: rw_metropolis(
+        GibbsTarget(dec, GainSpec("zero"), alpha=1.0, epsilon=0.5, n_modes=2),
+        steps=10, step_scale=x),
+    "fd_directional-t": lambda kernel, grid, dec, x: fd_directional(
+        lambda v: 0.0, constant_field(grid, 1.0), constant_field(grid, 1.0), x),
+    "bochner_numeric_check-xi_max": lambda kernel, grid, dec, x: bochner_numeric_check(
+        kernel, xi_max=x),
+}
+
+
+@pytest.mark.parametrize("x", [np.nan, np.inf])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+def test_non_finite_arguments_are_refused(gauss_setup, call, x):
+    with pytest.raises(RangeError):
+        NON_FINITE_CALLS[call](*gauss_setup, x)

@@ -35,6 +35,8 @@ CASES = (
     ("check-kernel", ()),
     # indefinite: the analytic verdict searches the density for a witness
     ("check-kernel", ("kernel.family=mexican_hat_gauss", "kernel.s=1.2")),
+    # s > sqrt(2)/amp: the witness is searched on [0, 10]
+    ("check-kernel", ("kernel.family=mexican_hat_gauss", "kernel.s=3.0")),
     ("check-kernel", ("kernel.family=mexican_hat_exp", "kernel.ratio=0.8")),
     # atomic spectrum: no density to sweep
     ("check-kernel", ("kernel.family=cosine_sum",)),
