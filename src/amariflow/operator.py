@@ -1,12 +1,15 @@
 """Midpoint discretization of the convolution operator and its spectrum.
 
 The operator (K g)(x) = integral J(x - y) g(y) dy on a bounded interval is
-discretized on midpoint nodes x_j = a + (j + 1/2) h, h = (b - a)/n, as the
-symmetric matrix K_ij = h * J(d(x_i, x_j)), with d the signed difference
-(truncated boundary) or the minimal wrapped image h * min(m, n - m),
-m = |i - j| (periodic boundary).  A periodic K is circulant: its
-eigenvalues are the real DFT of its first column, its eigenvectors cos/sin
-pairs, and K g is a circular convolution.
+discretized on the midpoint nodes x_j = c + o_j of [a, b], with centre
+c = a/2 + b/2, h = (b - a)/n and offsets o_j = (j - (n - 1)/2) h, which are
+exactly antisymmetric (o_(n-1-j) = -o_j).  K_ij = h * J(d_ij) is symmetric,
+with d the distance |o_i - o_j| (truncated boundary) or the minimal wrapped
+image h * min(m, n - m), m = |i - j| (periodic boundary).  A periodic K is
+circulant: its eigenvalues are the real DFT of its first column, its
+eigenvectors cos/sin pairs, and K g is a circular convolution.  A truncated
+K is centrosymmetric, K == K[::-1, ::-1] exactly: its eigenvectors are even
+or odd about the centre and come from two eigenproblems of half the size.
 
 The discrete H inner product is <f, g> = h * sum f_j g_j.  Eigenvectors of K
 are rescaled by h^(-1/2) so the eigenfields are H-orthonormal; everything
@@ -49,7 +52,10 @@ BOUNDARIES = ("truncated", "periodic")
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform midpoint grid on [a, b] with n cells."""
+    """Uniform midpoint grid on [a, b] with n cells of width h = (b - a)/n.
+
+    InvalidDomainError unless a < b are finite, n >= 1 is an integer, and
+    both b - a and h are positive finite doubles."""
 
     a: float
     b: float
@@ -65,6 +71,12 @@ class Grid:
             raise InvalidDomainError(
                 f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}"
             )
+        for name, v in (("length b - a", self.length), ("cell width h", self.h)):
+            if not (np.isfinite(v) and v > 0.0):
+                raise InvalidDomainError(
+                    f"{name} of [{self.a!r}, {self.b!r}] with n = {self.n} is {v!r}, "
+                    "not a positive finite double"
+                )
 
     @property
     def h(self) -> float:
@@ -75,8 +87,15 @@ class Grid:
         return self.b - self.a
 
     @cached_property
+    def offsets(self) -> np.ndarray:
+        """Node positions relative to the centre, (j - (n - 1)/2) h: exactly
+        antisymmetric, offsets[n - 1 - j] == -offsets[j]."""
+        return (np.arange(self.n) - 0.5 * (self.n - 1)) * self.h
+
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return self.a + (np.arange(self.n) + 0.5) * self.h
+        # halves first, so the centre of a wide interval cannot overflow
+        return (0.5 * self.a + 0.5 * self.b) + self.offsets
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,10 +163,13 @@ def _column(kernel: Kernel, grid: Grid) -> np.ndarray:
 
 
 def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """The n x n matrix h * J(d), exactly symmetric by construction: J is
-    evaluated on |d|, which is a symmetric matrix, and on a periodic grid K
-    is the circulant of a symmetric column.  Subnormal entries are flushed
-    to zero.
+    """The n x n matrix h * J(d), exactly symmetric by construction: on a
+    periodic grid K is the circulant of a symmetric column.  On a truncated
+    grid J is evaluated on the top ceil(n/2) rows of d = |o_i - o_j|, from
+    the exactly antisymmetric offsets o of `Grid.offsets`, and the bottom
+    rows are those rows reversed both ways; d is symmetric and
+    centrosymmetric, so K is exactly both (K == K.T == K[::-1, ::-1]) on
+    any interval.  Subnormal entries are flushed to zero.
 
     On a truncated grid K is a dense, writable array.  On a periodic grid it
     is a read-only strided view of 2n - 1 doubles, the view that
@@ -164,8 +186,12 @@ def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
         return np.lib.stride_tricks.as_strided(
             ext[grid.n - 1 :], (grid.n, grid.n), (-s, s), writeable=False
         )
-    d = np.abs(grid.nodes[:, None] - grid.nodes[None, :])
-    return _flush_subnormals(grid.h * kernel.evaluate(d))
+    n, p = grid.n, grid.n - grid.n // 2
+    o = grid.offsets
+    K = np.empty((n, n))
+    K[:p] = _flush_subnormals(grid.h * kernel.evaluate(np.abs(o[:p, None] - o[None, :])))
+    K[p:] = K[: n - p][::-1, ::-1]
+    return K
 
 
 def _fft_matvec(kernel: Kernel, grid: Grid):
@@ -320,6 +346,63 @@ def _fourier_vectors(freq: np.ndarray, sine: np.ndarray, n: int) -> np.ndarray:
     return V
 
 
+def _is_centrosymmetric(K: np.ndarray) -> bool:
+    """Whether K == K[::-1, ::-1] entry for entry (a NaN never compares
+    equal), from its top ceil(n/2) rows against the bottom ones reversed."""
+    p = K.shape[0] - K.shape[0] // 2
+    return bool(np.equal(K[:p], K[::-1, ::-1][:p]).all())
+
+
+def _centrosymmetric_eigh(K: np.ndarray):
+    """Eigenvalues (descending) of a symmetric, centrosymmetric K and a map
+    from a mask of them to their unit eigenvectors, by two half-size eighs
+    (Cantoni & Butler 1976).  With m = n // 2, p = n - m, J the reversal
+    and C J the columns of K's top rows taken from the right, K is
+    orthogonally similar to diag(S, D): S = A + C J acts on the even vectors
+    [x; Jx]/sqrt(2) and D = A - C J on the odd ones [y; -Jy]/sqrt(2).  For
+    odd n the middle node is its own mirror image: S gains the middle row
+    and column, scaled by sqrt(2) off the diagonal, and the even vectors
+    carry its entry unscaled, the odd ones zero.  The spectra merge by a
+    stable sort, so equal eigenvalues list the even mode first.
+
+    S and D hold half of K's rows each, so the work is a quarter of one
+    n x n eigh.  NumericalError if S or D has a non-finite entry: K + K J
+    can overflow where K is finite."""
+    n = K.shape[0]
+    m, p = n // 2, n - n // 2
+    CJ = K[:p, ::-1][:, :p]  # CJ_ij = K_(i, n-1-j)
+    S = K[:p, :p] + CJ
+    if p > m:
+        S[m, :m] = np.sqrt(2.0) * K[m, :m]
+        S[:m, m] = np.sqrt(2.0) * K[:m, m]
+        S[m, m] = K[m, m]
+    D = K[:m, :m] - CJ[:m, :m]
+    if not (np.isfinite(S).all() and np.isfinite(D).all()):
+        raise NumericalError("operator spectrum has non-finite eigenvalues")
+    ws, X = linalg.eigh(S, overwrite_a=True, check_finite=False)
+    wd, Y = linalg.eigh(D, overwrite_a=True, check_finite=False)
+    X, Y = X[:, ::-1], Y[:, ::-1]
+    w = np.concatenate((ws[::-1], wd[::-1]))
+    order = np.argsort(-w, kind="stable")
+
+    def vectors(keep):
+        cols = order[keep]
+        even = cols < p
+        # columns contiguous, as eigh returns them: the sign pass's argmax
+        # down each column then needs no n x r copy
+        V = np.empty((n, cols.size), order="F")
+        V[:m, even] = np.sqrt(0.5) * X[:m, cols[even]]
+        V[:m, ~even] = np.sqrt(0.5) * Y[:, cols[~even] - p]
+        V[p:] = V[:m][::-1]
+        V[p:, ~even] *= -1.0
+        if p > m:
+            V[m] = 0.0
+            V[m, even] = X[m, cols[even]]
+        return V
+
+    return w[order], vectors
+
+
 def spectral_decompose(
     K: np.ndarray,
     grid: Grid,
@@ -345,9 +428,15 @@ def spectral_decompose(
     periodic set-up is O(n log n + n r) instead of eigh's O(n^3).  Any
     other K goes to eigh, even one a rounding error off a circulant; its
     max|K| is max(max K, -min K), and `_asymmetry` takes max|K - K^T|
-    over tile pairs.  ValidationError if K has a non-finite entry, or if
-    max|K - K^T| exceeds 1e-12 * max|K|.  NumericalError if an eigenvalue
-    comes out non-finite (overflow of a finite K).
+    over tile pairs.  On a truncated grid a K equal to K[::-1, ::-1]
+    entry for entry, as `build_operator_matrix` makes it, is split into
+    its even and odd blocks (`_centrosymmetric_eigh`): two eighs of order
+    ceil(n/2) and floor(n/2), a quarter of the work of one of order n,
+    with every eigenvector even or odd about the grid's centre.  Any
+    other truncated K, a perturbed copy included, goes to one eigh.
+    ValidationError if K has a non-finite entry, or if max|K - K^T|
+    exceeds 1e-12 * max|K|.  NumericalError if an eigenvalue, or an entry
+    of the split's blocks, comes out non-finite (overflow of a finite K).
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (grid.n, grid.n):
@@ -367,10 +456,14 @@ def spectral_decompose(
         raise ValidationError("operator matrix is not symmetric")
     if closed_form:
         w, freq, sine = _fourier_spectrum(col)
+        vectors = lambda keep: _fourier_vectors(freq[keep], sine[keep], grid.n)
+    elif grid.boundary == "truncated" and _is_centrosymmetric(K):
+        w, vectors = _centrosymmetric_eigh(K)
     else:
         # the finite scale above already proves every entry finite
         w, V = linalg.eigh(K, check_finite=False)
         w, V = w[::-1], V[:, ::-1]
+        vectors = lambda keep: V[:, keep]
     if not np.isfinite(w).all():
         raise NumericalError("operator spectrum has non-finite eigenvalues")
     lam_abs_max = float(np.abs(w).max()) if w.size else 0.0
@@ -385,7 +478,8 @@ def spectral_decompose(
     discarded = w[~keep]
     discarded_max = float(discarded.max()) if discarded.size else 0.0
     w = np.ascontiguousarray(w[keep])
-    V = _fourier_vectors(freq[keep], sine[keep], grid.n) if closed_form else V[:, keep]
+    V = vectors(keep)
+    del vectors  # frees the split's half-size eigenvectors before the sign pass
     # Deterministic sign: largest-magnitude component of each mode positive.
     if V.size:
         piv = np.argmax(np.abs(V), axis=0)

@@ -333,6 +333,20 @@ def test_cli_overflow_is_one_line_in_a_subprocess(tmp_path, command):
     assert proc.stderr == "error: ValidationError: operator matrix has non-finite entries\n"
 
 
+@pytest.mark.parametrize("a, b, what", [
+    ("-1e308", "1e308", "length b - a"),  # b - a overflows to inf
+    ("0", "5e-324", "cell width h"),  # h underflows to 0
+])
+def test_cli_degenerate_domain_is_one_line_in_a_subprocess(tmp_path, a, b, what):
+    proc = cli_subprocess(
+        tmp_path, "spectrum", "--override", f"grid.a={a}", "--override", f"grid.b={b}"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: InvalidDomainError: {what} of ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_cli_non_utf8_config_is_one_line_in_a_subprocess(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"\xff\xfe\x00bad")

@@ -684,3 +684,130 @@ def test_overflowing_spectrum_is_refused(boundary):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite"):
             spectral_decompose(np.full((16, 16), 1e308), grid)
+
+
+# -- the even/odd split of a truncated K ------------------------------------------
+
+# the mexican hat is sign-indefinite for s < sqrt(2) and s > 2 sqrt(2)
+SPLIT_KERNELS = st.one_of(
+    st.sampled_from(["gaussian", "exponential", "sinc"]).map(lambda f: FAMILIES[f]()),
+    st.floats(1.05, 3.5).map(lambda s: MexicanHatGauss(s=s)),
+)
+
+
+def full_eigh_decompose(K, grid):
+    """spectral_decompose on its one n x n eigh, whatever K is."""
+    with mock.patch.object(operator, "_is_centrosymmetric", lambda K: False):
+        return spectral_decompose(K, grid)
+
+
+def decompose_or_refuse(decompose, K, grid):
+    try:
+        return decompose(K, grid)
+    except NotNonnegativeError:
+        return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kernel=SPLIT_KERNELS,
+    n=st.integers(1, 160),
+    a=st.floats(-50.0, 50.0),
+    length=st.floats(0.5, 60.0),
+)
+def test_truncated_split_matches_eigh(kernel, n, a, length):
+    grid = Grid(a, a + length, n)
+    K = build_operator_matrix(kernel, grid)
+    assert operator._is_centrosymmetric(K)
+    ref = decompose_or_refuse(full_eigh_decompose, K, grid)
+    dec = decompose_or_refuse(spectral_decompose, K, grid)
+    assert (ref is None) == (dec is None)
+    if ref is None:
+        return
+    assert dec.rank == ref.rank >= 1  # J(0) > 0, so the trace of K is positive
+    lam_max = ref.lambdas[0]
+    assert np.max(np.abs(dec.lambdas - ref.lambdas)) <= 1e-12 * lam_max
+    assert abs(dec.threshold - ref.threshold) <= 1e-12 * lam_max
+    assert abs(dec.discarded_max - ref.discarded_max) <= 1e-12 * lam_max
+    E = dec.eigenfields
+    assert np.max(np.abs(grid.h * (E.T @ E) - np.eye(dec.rank))) <= 1e-12
+    floor = ref.discarded_max if ref.rank < n else -np.inf
+    for idx in separated_eigenspaces(dec.lambdas, floor, 1e-4 * lam_max):
+        P = grid.h * (E[:, idx] @ E[:, idx].T)
+        Q = grid.h * (ref.eigenfields[:, idx] @ ref.eigenfields[:, idx].T)
+        assert np.max(np.abs(P - Q)) <= 1e-8
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.integers(1, 300),
+    a=st.floats(-1e6, 1e6),
+    length=st.floats(1e-3, 1e3),
+)
+def test_truncated_operator_is_exactly_centrosymmetric(family, n, a, length):
+    grid = Grid(a, a + length, n)
+    K = build_operator_matrix(FAMILIES[family](), grid)
+    assert np.array_equal(K, K[::-1, ::-1])
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(grid.offsets, -grid.offsets[::-1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 127, 128])
+def test_truncated_split_calls_two_half_size_eighs(n):
+    grid = Grid(-3.0, 5.0, n)
+    K = build_operator_matrix(Gaussian(width=0.7), grid)
+    eigh = operator.linalg.eigh
+    with mock.patch.object(operator.linalg, "eigh", side_effect=eigh) as spy:
+        spectral_decompose(K, grid)
+        shapes = [c.args[0].shape for c in spy.call_args_list]
+        assert shapes == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+        spy.reset_mock()
+        # one ulp on the diagonal: still symmetric, no longer centrosymmetric
+        bad = K.copy()
+        bad[0, 0] = np.nextafter(bad[0, 0], np.inf)
+        spectral_decompose(bad, grid)
+        assert [c.args[0].shape for c in spy.call_args_list] == [(n, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_truncated_split_smallest_grids(n):
+    kernel = Gaussian(width=1.0)
+    grid = Grid(0.0, 3.0, n)
+    K = build_operator_matrix(kernel, grid)
+    dec = spectral_decompose(K, grid)
+    ref = full_eigh_decompose(K, grid)
+    assert dec.rank == ref.rank == n
+    assert np.max(np.abs(dec.lambdas - ref.lambdas)) <= 1e-15 * ref.lambdas[0]
+    E = dec.eigenfields
+    # every eigenfield is even or odd about the centre
+    for e in E.T:
+        assert np.array_equal(e, e[::-1]) or np.array_equal(e, -e[::-1])
+    assert np.max(np.abs(K @ E - E * dec.lambdas)) <= 1e-15 * dec.lambdas[0]
+    h, j1, j2 = grid.h, kernel.evaluate(grid.h), kernel.evaluate(2.0 * grid.h)
+    if n == 1:
+        assert dec.lambdas.tolist() == [h * kernel.evaluate(0.0)]
+        assert dec.eigenfields.tolist() == [[1.0 / np.sqrt(h)]]
+    elif n == 2:  # the even mode h (J(0) + J(h)), then the odd one
+        assert np.allclose(dec.lambdas, [h * (1.0 + j1), h * (1.0 - j1)], rtol=1e-15, atol=0)
+        assert E[0, 0] == E[1, 0] > 0.0 and E[0, 1] == -E[1, 1] > 0.0
+    else:  # the odd mode [1, 0, -1] / sqrt(2) has eigenvalue h (J(0) - J(2h))
+        odd = [i for i, e in enumerate(E.T) if e[1] == 0.0]
+        assert len(odd) == 1
+        assert abs(dec.lambdas[odd[0]] - h * (1.0 - j2)) <= 1e-15 * dec.lambdas[0]
+
+
+def test_grid_refuses_a_non_finite_or_zero_cell():
+    with pytest.raises(InvalidDomainError, match="length b - a"):
+        Grid(-1e308, 1e308, 4)
+    with pytest.raises(InvalidDomainError, match="cell width h"):
+        Grid(0.0, 5e-324, 4)
+    # the centre 0.5 a + 0.5 b of a far interval does not overflow
+    g = Grid(1.0e308, 1.7e308, 4)
+    assert np.all(np.isfinite(g.nodes)) and g.a < g.nodes[0] < g.nodes[-1] < g.b
+
+
+def test_symmetric_grid_nodes_are_the_offsets():
+    for n in (1, 2, 7, 400):
+        g = Grid(-20.0, 20.0, n)
+        assert g.nodes.tobytes() == g.offsets.tobytes()

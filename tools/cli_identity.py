@@ -63,6 +63,12 @@ CASES = (
         ("galerkin-compare", ("kernel.family=exponential", "grid.boundary=periodic", f"grid.n={n}"))
         for n in (127, 128)
     ),
+    # an odd truncated grid off the origin: the even/odd split with a
+    # middle node, on nodes that are not their own offsets
+    *(
+        (command, ("grid.a=0.0", "grid.b=7.0", "grid.n=127"))
+        for command in ("spectrum", "galerkin-compare")
+    ),
 )
 
 
