@@ -214,17 +214,13 @@ class MomentReport:
     b: MomentSummary
 
 
-def compare_measures(a, b) -> MomentReport:
-    """Standardize per-mode mean and variance gaps by the combined SE.
+def compare_measures(a: MomentSummary, b: MomentSummary) -> MomentReport:
+    """Standardize per-mode mean and variance gaps of two `ergodic_moments`
+    summaries by the combined SE.
 
-    Accepts raw sample arrays or MomentSummary on either side.  passed
-    means every |z| <= 3, one 3-SE test per score; `familywise_verdict`
-    judges all of them together.
+    passed means every |z| <= 3, one 3-SE test per score;
+    `familywise_verdict` judges all of them together.
     """
-    if not isinstance(a, MomentSummary):
-        a = ergodic_moments(a)
-    if not isinstance(b, MomentSummary):
-        b = ergodic_moments(b)
     if a.means.shape != b.means.shape:
         raise DimensionMismatchError(
             f"summaries compare {a.means.shape} vs {b.means.shape} modes"

@@ -8,8 +8,10 @@ with d the distance |o_i - o_j| (truncated boundary) or the minimal wrapped
 image h * min(m, n - m), m = |i - j| (periodic boundary).  A periodic K is
 circulant: its eigenvalues are the real DFT of its first column, its
 eigenvectors cos/sin pairs, and K g is a circular convolution.  A truncated
-K is centrosymmetric, K == K[::-1, ::-1] exactly: its eigenvectors are even
-or odd about the centre and come from two eigenproblems of half the size.
+K is centrosymmetric, K == K[::-1, ::-1] exactly, as is any symmetric
+circulant: its eigenvectors are even or odd about the centre and come from
+two eigenproblems of half the size.  `spectral_decompose` chooses between
+these from K alone.
 
 The discrete H inner product is <f, g> = h * sum f_j g_j.  Eigenvectors of K
 are rescaled by h^(-1/2) so the eigenfields are H-orthonormal; everything
@@ -162,23 +164,25 @@ def _column(kernel: Kernel, grid: Grid) -> np.ndarray:
     return _flush_subnormals(grid.h * kernel.evaluate(grid.h * m))
 
 
-def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """The n x n matrix h * J(d), exactly symmetric by construction: on a
-    periodic grid K is the circulant of a symmetric column.  On a truncated
-    grid J is evaluated on the top ceil(n/2) rows of d = |o_i - o_j|, from
-    the exactly antisymmetric offsets o of `Grid.offsets`, and the bottom
-    rows are those rows reversed both ways; d is symmetric and
-    centrosymmetric, so K is exactly both (K == K.T == K[::-1, ::-1]) on
-    any interval.  Subnormal entries are flushed to zero.
+# rows per block of the truncated assembly, and the edge of `_asymmetry`'s
+# tiles: 128 KB of float64, so a tile and its transposed partner sit in L2
+TILE = 128
 
-    On a truncated grid K is a dense, writable array.  On a periodic grid it
-    is a read-only strided view of 2n - 1 doubles, the view that
-    `scipy.linalg.circulant` builds before its final copy: every entry
-    equals that circulant's bit for bit, but it holds O(n) memory (16 KB at
-    n = 2048 instead of 32 MB).  Writing into it raises ValueError; use
-    `K.copy()` for a dense array to edit.  `K @ v` on the view runs numpy's
-    non-BLAS loop, slower than the dense product and equal to it only to
-    rounding; apply K with `apply_operator` instead."""
+
+def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
+    """The n x n matrix h * J(d), exactly symmetric by construction, with
+    subnormal entries flushed to zero.
+
+    On a periodic grid K is a read-only strided view of 2n - 1 doubles, the
+    circulant of a symmetric column as `scipy.linalg.circulant` builds it
+    before its final copy: bit for bit that circulant in O(n) memory.
+    Writing into it raises ValueError (`K.copy()` gives a dense array), and
+    `K @ v` runs numpy's slow non-BLAS loop; apply K with `apply_operator`.
+
+    On a truncated grid K is a dense, writable array.  J is evaluated on the
+    top ceil(n/2) rows of d = |o_i - o_j|, TILE rows at a time, and the
+    bottom rows are those rows reversed both ways, so K is exactly symmetric
+    and centrosymmetric on any interval."""
     if grid.boundary == "periodic":
         c = _column(kernel, grid)
         ext = np.concatenate((c[::-1], c[:0:-1]))
@@ -189,7 +193,10 @@ def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     n, p = grid.n, grid.n - grid.n // 2
     o = grid.offsets
     K = np.empty((n, n))
-    K[:p] = _flush_subnormals(grid.h * kernel.evaluate(np.abs(o[:p, None] - o[None, :])))
+    for i in range(0, p, TILE):
+        rows = slice(i, min(i + TILE, p))
+        # Kernel.evaluate takes |x| itself
+        K[rows] = _flush_subnormals(grid.h * kernel.evaluate(o[rows, None] - o))
     K[p:] = K[: n - p][::-1, ::-1]
     return K
 
@@ -245,13 +252,16 @@ class SpectralDecomposition:
 
     def truncate(self, n_modes: int) -> "SpectralDecomposition":
         """The leading n_modes eigenpairs as views of these arrays, not
-        copies; discarded_max becomes lambda_(n_modes+1) when modes are cut."""
+        copies; discarded_max becomes lambda_(n_modes+1) when modes are cut.
+        n_modes == rank returns self, a rank-0 decomposition at 0 included;
+        otherwise RangeError unless 1 <= n_modes, RankExceededError unless
+        n_modes <= rank."""
+        if n_modes == self.rank:
+            return self
         if n_modes < 1:
             raise RangeError(f"need n_modes >= 1, got {n_modes}")
         if n_modes > self.rank:
             raise RankExceededError(f"{n_modes} modes requested, {self.rank} retained")
-        if n_modes == self.rank:
-            return self
         return SpectralDecomposition(
             self.grid, self.lambdas[:n_modes], self.eigenfields[:, :n_modes],
             self.threshold, float(self.lambdas[n_modes]),
@@ -270,32 +280,17 @@ class SpectralDecomposition:
         return Field(self.grid, self.truncate(c.size).eigenfields @ c)
 
 
-TILE = 128  # 128 KB of float64, so a tile and its transposed partner sit in L2
-
-
 def _is_circulant(K: np.ndarray) -> bool:
-    """Whether K equals circulant(K[:, 0]) bit for bit; a NaN never
-    compares equal.  A K with strides (-itemsize, itemsize), such as every
-    periodic K of `build_operator_matrix`, is Toeplitz by its layout, each
-    K_ij one base entry shifted by j - i, so it is recognised in O(n): it
-    is that circulant exactly when its first row equals its reversed column
-    and the column holds no NaN.  Any other array, a dense `K.copy()`
-    included, goes to `_dense_is_circulant`."""
-    if K.strides == (-K.itemsize, K.itemsize):
-        col = K[:, 0]
-        return bool(np.equal(K[0, 1:], col[:0:-1]).all() and not np.isnan(col).any())
-    return _dense_is_circulant(K)
-
-
-def _dense_is_circulant(K: np.ndarray) -> bool:
-    """`_is_circulant` for any layout, entry by entry against the circulant
-    as a view of its doubled column; the only temporary is an n x n bool
-    array, 1/8 of K."""
-    n = K.shape[0]
-    # row i of the circulant is window n - 1 - i of c reversed, twice over
-    rc = K[::-1, 0]
-    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((rc, rc)), n)
-    return bool(np.equal(K, windows[n - 1 :: -1]).all())
+    """Whether K is a circulant in the layout `build_operator_matrix` gives
+    every periodic K.  Strides (-itemsize, itemsize) make K Toeplitz, each
+    K_ij one base entry shifted by j - i, so it equals circulant(K[:, 0])
+    bit for bit exactly when its first row equals its reversed column and
+    the column holds no NaN.  An array in any other layout is not taken
+    for a circulant."""
+    if K.strides != (-K.itemsize, K.itemsize):
+        return False
+    col = K[:, 0]
+    return bool(np.equal(K[0, 1:], col[:0:-1]).all() and not np.isnan(col).any())
 
 
 def _asymmetry(K: np.ndarray, tile: int = TILE) -> float:
@@ -416,34 +411,25 @@ def spectral_decompose(
     falls below -neg_tol * max|lambda|: the kernel fails nonnegative
     definiteness at this grid's resolution.
 
-    K is checked first by three reads, none with an n x n float
-    temporary.  On a periodic grid `_is_circulant` asks whether K equals
-    the circulant of its first column bit for bit, as
-    `build_operator_matrix` makes it; it recognises that view in O(n) from
-    its layout, and compares a dense array entry by entry into one n x n
-    bool array.  If so, every K_ij is col[(i - j) % n]:
-    max|K| and max|K - K^T| come from the column, and the spectrum is
-    taken in closed form, the eigenvalues the real DFT of the column and
-    only the retained cos/sin eigenvectors built from one table, so the
-    periodic set-up is O(n log n + n r) instead of eigh's O(n^3).  Any
-    other K goes to eigh, even one a rounding error off a circulant; its
-    max|K| is max(max K, -min K), and `_asymmetry` takes max|K - K^T|
-    over tile pairs.  On a truncated grid a K equal to K[::-1, ::-1]
-    entry for entry, as `build_operator_matrix` makes it, is split into
-    its even and odd blocks (`_centrosymmetric_eigh`): two eighs of order
-    ceil(n/2) and floor(n/2), a quarter of the work of one of order n,
-    with every eigenvector even or odd about the grid's centre.  Any
-    other truncated K, a perturbed copy included, goes to one eigh.
-    ValidationError if K has a non-finite entry, or if max|K - K^T|
-    exceeds 1e-12 * max|K|.  NumericalError if an eigenvalue, or an entry
-    of the split's blocks, comes out non-finite (overflow of a finite K).
+    The eigensolver follows from K alone:
+    - the circulant view `build_operator_matrix` makes of a periodic K
+      (`_is_circulant`) gets the closed form, the eigenvalues the real DFT
+      of its column and the retained cos/sin eigenvectors built from one
+      table, in O(n log n + n r);
+    - any K equal to K[::-1, ::-1] entry for entry, every truncated K
+      included, is split into its even and odd blocks
+      (`_centrosymmetric_eigh`): two eighs of order ceil(n/2) and floor(n/2);
+    - any other K goes to one eigh.
+    ValidationError if K has a non-finite entry, or if max|K - K^T| exceeds
+    1e-12 * max|K|.  NumericalError if an eigenvalue, or an entry of the
+    split's blocks, comes out non-finite (overflow of a finite K).
     """
     K = np.asarray(K, dtype=float)
     if K.shape != (grid.n, grid.n):
         raise GridMismatchError(f"operator shape {K.shape} does not match n = {grid.n}")
     if not all(np.isfinite(t) and t >= 0.0 for t in (rel_tol, neg_tol)):
         raise RangeError(f"need finite rel_tol, neg_tol >= 0, got {rel_tol!r}, {neg_tol!r}")
-    closed_form = grid.boundary == "periodic" and _is_circulant(K)
+    closed_form = _is_circulant(K)
     col = K[:, 0]
     scale = np.abs(col).max() if closed_form else max(K.max(), -K.min())
     if not np.isfinite(scale):
@@ -457,7 +443,7 @@ def spectral_decompose(
     if closed_form:
         w, freq, sine = _fourier_spectrum(col)
         vectors = lambda keep: _fourier_vectors(freq[keep], sine[keep], grid.n)
-    elif grid.boundary == "truncated" and _is_centrosymmetric(K):
+    elif _is_centrosymmetric(K):
         w, vectors = _centrosymmetric_eigh(K)
     else:
         # the finite scale above already proves every entry finite
@@ -466,18 +452,17 @@ def spectral_decompose(
         vectors = lambda keep: V[:, keep]
     if not np.isfinite(w).all():
         raise NumericalError("operator spectrum has non-finite eigenvalues")
-    lam_abs_max = float(np.abs(w).max()) if w.size else 0.0
-    if w.size and float(w[-1]) < -neg_tol * lam_abs_max:
+    lam_abs_max = float(np.abs(w).max())
+    if float(w[-1]) < -neg_tol * lam_abs_max:
         raise NotNonnegativeError(
             f"eigenvalue {w[-1]:.6e} below -neg_tol * max|lambda| = "
             f"{-neg_tol * lam_abs_max:.6e}"
         )
-    lam_max = float(w[0]) if w.size else 0.0
-    tau = rel_tol * max(lam_max, 0.0)
+    tau = rel_tol * max(float(w[0]), 0.0)
     keep = w > tau
     discarded = w[~keep]
     discarded_max = float(discarded.max()) if discarded.size else 0.0
-    w = np.ascontiguousarray(w[keep])
+    w = w[keep]
     V = vectors(keep)
     del vectors  # frees the split's half-size eigenvectors before the sign pass
     # Deterministic sign: largest-magnitude component of each mode positive.

@@ -295,6 +295,20 @@ def test_cli_spectrum_rank_zero(tmp_path, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("command, output", [
+    ("energy-trace", "energy.csv"),
+    ("doss-sussmann-compare", "ds_compare.csv"),
+])
+def test_cli_rank_zero_runs(tmp_path, capsys, command, output):
+    # J identically 0: S is {0}, so the run stays at the projected start 0
+    code = main([command, "--out", str(tmp_path), "--override", "kernel.family=zero",
+                 "--override", "sim.epsilon=0.3", "--override", "sim.t_final=0.5"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(tmp_path / output, delimiter=",", skiprows=1, usecols=(0, 1))
+    assert rows.shape[0] > 1 and np.isfinite(rows).all()
+
+
 @pytest.mark.parametrize("overrides, code, message", [
     # the operator matrix overflows to inf
     (("kernel.scale=1e308", "grid.a=-1e300", "grid.b=1e300"),

@@ -204,25 +204,31 @@ def test_periodic_operator_assembles_in_linear_memory():
     "family", ["gaussian", "exponential", "sinc", "cosine_sum", "mexican_hat_gauss"]
 )
 def test_periodic_view_decomposes_as_its_dense_copy(family, n):
-    # the view is recognised from its layout, the copy by the entry-by-entry
-    # compare; both must reach the same bits, or the same refusal
+    # the view takes the closed form; its dense copy is centrosymmetric, not
+    # a circulant layout, so it takes the even/odd split; both must agree,
+    # or both refuse
     grid = Grid(-10.0, 10.0, n, "periodic")
     K = build_operator_matrix(FAMILIES[family](), grid)
-    outcomes = []
-    dense = operator._dense_is_circulant
-    with mock.patch.object(operator, "_dense_is_circulant", side_effect=dense) as spy:
-        for M, dense_calls in ((K, 0), (K.copy(), 1)):
-            try:
-                dec = spectral_decompose(M, grid)
-            except NotNonnegativeError as exc:
-                outcomes.append(str(exc))
-            else:
-                outcomes.append(
-                    (dec.lambdas.tobytes(), dec.eigenfields.tobytes(),
-                     dec.threshold, dec.discarded_max)
-                )
-            assert spy.call_count == dense_calls
-    assert outcomes[0] == outcomes[1]
+    with no_eigh():
+        view = decompose_or_refuse(spectral_decompose, K, grid)
+    eigh = operator.linalg.eigh
+    with mock.patch.object(operator.linalg, "eigh", side_effect=eigh) as spy:
+        copy = decompose_or_refuse(spectral_decompose, K.copy(), grid)
+    assert [c.args[0].shape for c in spy.call_args_list] == [((n + 1) // 2,) * 2, (n // 2,) * 2]
+    assert (view is None) == (copy is None)
+    if view is None:
+        return
+    lam_max = view.lambdas[0]
+    assert copy.rank == view.rank
+    assert np.max(np.abs(copy.lambdas - view.lambdas)) <= 1e-12 * lam_max
+    assert abs(copy.threshold - view.threshold) <= 1e-12 * lam_max
+    assert abs(copy.discarded_max - view.discarded_max) <= 1e-12 * lam_max
+    floor = view.discarded_max if view.rank < n else -np.inf
+    E, F = view.eigenfields, copy.eigenfields
+    for idx in separated_eigenspaces(view.lambdas, floor, 1e-4 * lam_max):
+        P = grid.h * (E[:, idx] @ E[:, idx].T)
+        Q = grid.h * (F[:, idx] @ F[:, idx].T)
+        assert np.max(np.abs(P - Q)) <= 1e-8
 
 
 def test_spectral_decomposition_properties(gauss_setup):
@@ -429,8 +435,9 @@ def test_spectrum_csv_roundtrip(gauss_setup, tmp_path):
 # -- closed-form spectrum on periodic grids ----------------------------------------
 
 def eigh_decompose(K, grid):
-    """spectral_decompose on its eigh path, whatever K is."""
-    with mock.patch.object(operator, "_is_circulant", lambda K: False):
+    """spectral_decompose on its one full eigh, whatever K is."""
+    with mock.patch.object(operator, "_is_circulant", lambda K: False), \
+            mock.patch.object(operator, "_is_centrosymmetric", lambda K: False):
         return spectral_decompose(K, grid)
 
 
@@ -571,7 +578,7 @@ def test_blocked_maxima_equal_dense(n, kind, perturb, tile, seed):
     if perturb:
         i, j = rng.integers(n, size=2)
         K[i, j] += rng.choice([1e-13, 1e-6, 1.0]) * rng.normal()
-    assert blocked_reads(K, tile) == dense_reads(K)
+    assert operator._asymmetry(K, tile) == np.abs(K - K.T).max()
 
 
 @settings(max_examples=120, deadline=None)
@@ -594,10 +601,7 @@ def test_strided_toeplitz_view_is_judged_as_dense(n, periodic, plant, seed):
         base[rng.integers(base.size)] = plant
     s = base.itemsize
     K = np.lib.stride_tricks.as_strided(base[n - 1 :], (n, n), (-s, s))
-    no_dense = AssertionError("entry-by-entry compare")
-    with mock.patch.object(operator, "_dense_is_circulant", side_effect=no_dense):
-        verdict = operator._is_circulant(K)
-    assert verdict == np.array_equal(K, linalg.circulant(K[:, 0]))
+    assert operator._is_circulant(K) == np.array_equal(K, linalg.circulant(K[:, 0]))
 
 
 def test_fourier_vectors_are_bitwise_the_direct_evaluation():
@@ -751,6 +755,30 @@ def test_truncated_operator_is_exactly_centrosymmetric(family, n, a, length):
     assert np.array_equal(K, K[::-1, ::-1])
     assert np.array_equal(K, K.T)
     assert np.array_equal(grid.offsets, -grid.offsets[::-1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 2 * operator.TILE + 1, 2 * operator.TILE + 2])
+@pytest.mark.parametrize("family", ["gaussian", "exponential", "sinc", "mexican_hat_gauss"])
+def test_truncated_assembly_in_row_blocks_is_the_one_block_expression(family, n):
+    kernel = FAMILIES[family]()
+    grid = Grid(-3.0, 5.0, n)
+    o, p = grid.offsets, n - n // 2
+    top = operator._flush_subnormals(grid.h * kernel.evaluate(np.abs(o[:p, None] - o[None, :])))
+    one_block = np.concatenate((top, top[: n - p][::-1, ::-1]))
+    assert build_operator_matrix(kernel, grid).tobytes() == one_block.tobytes()
+
+
+def test_truncated_operator_assembles_within_half_a_K_of_extra_memory():
+    # one block of TILE rows at a time: the top half evaluated at once would
+    # hold several n/2 x n temporaries next to K
+    grid = Grid(-10.0, 10.0, 2048)
+    tracemalloc.start()
+    try:
+        K = build_operator_matrix(Gaussian(width=0.5), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * K.nbytes, peak
 
 
 @pytest.mark.parametrize("n", [2, 3, 127, 128])

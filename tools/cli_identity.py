@@ -20,16 +20,16 @@ from pathlib import Path
 
 SEEDS = (1, 3)
 
-# the wide-periodic benchmark workload's geometry
-WIDE_PERIODIC = (
+# the wide-periodic benchmark workload's geometry, and its kernel and
+# nodes on the default truncated boundary
+WIDE = (
     "kernel.family=gaussian",
     "kernel.width=0.5",
     "grid.a=-10.0",
     "grid.b=10.0",
     "grid.n=2048",
-    "grid.boundary=periodic",
-    "sim.record_every=50",
 )
+WIDE_PERIODIC = (*WIDE, "grid.boundary=periodic", "sim.record_every=50")
 
 CASES = (
     ("check-kernel", ()),
@@ -69,6 +69,14 @@ CASES = (
         (command, ("grid.a=0.0", "grid.b=7.0", "grid.n=127"))
         for command in ("spectrum", "galerkin-compare")
     ),
+    # the wide geometry truncated: the assembly in row blocks and the
+    # even/odd split at n = 2048
+    ("spectrum", WIDE),
+    # J identically 0: rank 0, so S is {0}
+    ("energy-trace", ("kernel.family=zero",)),
+    ("doss-sussmann-compare", ("kernel.family=zero", "sim.epsilon=0.3")),
+    # a dt that does not divide t_final = 1
+    ("doss-sussmann-compare", ("sim.epsilon=0.3", "sim.dt=0.03")),
 )
 
 
