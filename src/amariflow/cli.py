@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .errors import NumericalError, ParseError, ValidationError
+from .errors import EmptyPointSetError, NumericalError, ParseError, ValidationError
 from .ergodic import (
     GibbsTarget,
     compare_measures,
@@ -123,8 +123,11 @@ def _cmd_check_kernel(cfg, out: Path) -> int:
     else:
         report["numeric_verdict"] = None
         report["numeric_reason"] = "atomic spectrum: no density sweep"
+    n_points = int(cfg.get("kernel", "gram_points"))
+    if n_points < 1:
+        raise EmptyPointSetError("Gram check needs at least one point")
     rng = derive_rng(int(cfg.get("noise", "seed")), 2)
-    pts = rng.uniform(grid.a, grid.b, size=int(cfg.get("kernel", "gram_points")))
+    pts = rng.uniform(grid.a, grid.b, size=n_points)
     report["gram_min_eigenvalue"] = gram_min_eigenvalue(kernel, pts)
     with open(out / "kernel_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -1,15 +1,13 @@
 """Midpoint discretization of the convolution operator and its spectrum.
 
 The operator (K g)(x) = integral J(x - y) g(y) dy on a bounded interval is
-discretized on the midpoint nodes x_j = c + o_j of [a, b], with centre
-c = a/2 + b/2, h = (b - a)/n and offsets o_j = (j - (n - 1)/2) h, which are
-exactly antisymmetric (o_(n-1-j) = -o_j).  K_ij = h * J(d_ij) is symmetric,
-with d the distance |o_i - o_j| (truncated boundary) or the minimal wrapped
-image h * min(m, n - m), m = |i - j| (periodic boundary).  A periodic K is
-circulant: its eigenvalues are the real DFT of its first column, its
-eigenvectors cos/sin pairs, and K g is a circular convolution.  A truncated
-K is centrosymmetric, K == K[::-1, ::-1] exactly, as is any symmetric
-circulant: its eigenvectors are even or odd about the centre and come from
+discretized on the midpoint nodes of [a, b], h = (b - a)/n apart.  K is
+fixed by one column: with m = |i - j|, K_ij = h * J(h * m) on a truncated
+grid and h * J(h * min(m, n - m)) on a periodic one.  A truncated K is thus
+symmetric Toeplitz, a periodic K a symmetric circulant: its eigenvalues are
+the real DFT of its column, its eigenvectors cos/sin pairs, and K g is a
+circular convolution.  Either K is centrosymmetric, K == K[::-1, ::-1]
+exactly: its eigenvectors are even or odd about the centre and come from
 two eigenproblems of half the size.  `spectral_decompose` chooses between
 these from K alone.
 
@@ -164,41 +162,31 @@ def _column(kernel: Kernel, grid: Grid) -> np.ndarray:
     return _flush_subnormals(grid.h * kernel.evaluate(grid.h * m))
 
 
-# rows per block of the truncated assembly, and the edge of `_asymmetry`'s
-# tiles: 128 KB of float64, so a tile and its transposed partner sit in L2
+# the edge of `_asymmetry`'s tiles: 128 KB of float64, so a tile and its
+# transposed partner sit in L2
 TILE = 128
 
 
 def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """The n x n matrix h * J(d), exactly symmetric by construction, with
+    """The n x n matrix K_ij = col[m] of the column col = `_column`, with
+    m = |i - j|: h * J(h * m) truncated and h * J(h * min(m, n - m))
+    periodic, exactly symmetric and centrosymmetric by construction, with
     subnormal entries flushed to zero.
 
-    On a periodic grid K is a read-only strided view of 2n - 1 doubles, the
-    circulant of a symmetric column as `scipy.linalg.circulant` builds it
+    On a truncated grid K is a dense, writable array, the Toeplitz matrix
+    of col.  On a periodic grid K is a read-only strided view of 2n - 1
+    doubles, the circulant of col as `scipy.linalg.circulant` builds it
     before its final copy: bit for bit that circulant in O(n) memory.
     Writing into it raises ValueError (`K.copy()` gives a dense array), and
-    `K @ v` runs numpy's slow non-BLAS loop; apply K with `apply_operator`.
-
-    On a truncated grid K is a dense, writable array.  J is evaluated on the
-    top ceil(n/2) rows of d = |o_i - o_j|, TILE rows at a time, and the
-    bottom rows are those rows reversed both ways, so K is exactly symmetric
-    and centrosymmetric on any interval."""
-    if grid.boundary == "periodic":
-        c = _column(kernel, grid)
-        ext = np.concatenate((c[::-1], c[:0:-1]))
-        s = ext.itemsize
-        return np.lib.stride_tricks.as_strided(
-            ext[grid.n - 1 :], (grid.n, grid.n), (-s, s), writeable=False
-        )
-    n, p = grid.n, grid.n - grid.n // 2
-    o = grid.offsets
-    K = np.empty((n, n))
-    for i in range(0, p, TILE):
-        rows = slice(i, min(i + TILE, p))
-        # Kernel.evaluate takes |x| itself
-        K[rows] = _flush_subnormals(grid.h * kernel.evaluate(o[rows, None] - o))
-    K[p:] = K[: n - p][::-1, ::-1]
-    return K
+    `K @ v` runs numpy's slow non-BLAS loop; apply K with `apply_operator`."""
+    c = _column(kernel, grid)
+    if grid.boundary == "truncated":
+        return linalg.toeplitz(c)
+    ext = np.concatenate((c[::-1], c[:0:-1]))
+    s = ext.itemsize
+    return np.lib.stride_tricks.as_strided(
+        ext[grid.n - 1 :], (grid.n, grid.n), (-s, s), writeable=False
+    )
 
 
 def _fft_matvec(kernel: Kernel, grid: Grid):

@@ -387,6 +387,18 @@ def test_cli_oversized_run_is_one_line_in_a_subprocess(tmp_path, command, overri
     assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.parametrize("args, error", [
+    (("simulate", "--seed", "-1"), "RangeError: need a seed >= 0, got -1"),
+    (("simulate", "--override", "noise.seed=-3"), "RangeError: need a seed >= 0, got -3"),
+    (("check-kernel", "--override", "kernel.gram_points=-5"),
+     "EmptyPointSetError: Gram check needs at least one point"),
+])
+def test_cli_negative_seed_or_gram_points_is_one_line_in_a_subprocess(tmp_path, args, error):
+    proc = cli_subprocess(tmp_path, *args)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {error}\n"
+
+
 def test_cli_simulate_outputs(tmp_path, capsys):
     code = main([
         "simulate", "--out", str(tmp_path),

@@ -63,14 +63,15 @@ CASES = (
         ("galerkin-compare", ("kernel.family=exponential", "grid.boundary=periodic", f"grid.n={n}"))
         for n in (127, 128)
     ),
-    # an odd truncated grid off the origin: the even/odd split with a
-    # middle node, on nodes that are not their own offsets
+    # an odd truncated grid off the origin, whose h is not a power of two:
+    # the even/odd split with a middle node, and the dense EM step
     *(
         (command, ("grid.a=0.0", "grid.b=7.0", "grid.n=127"))
         for command in ("spectrum", "galerkin-compare")
     ),
-    # the wide geometry truncated: the assembly in row blocks and the
-    # even/odd split at n = 2048
+    ("simulate", ("grid.a=0.0", "grid.b=7.0", "grid.n=127", "sim.t_final=1")),
+    # the wide geometry truncated: the Toeplitz assembly and the even/odd
+    # split at n = 2048
     ("spectrum", WIDE),
     # J identically 0: rank 0, so S is {0}
     ("energy-trace", ("kernel.family=zero",)),
