@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .errors import EmptyPointSetError, NumericalError, ParseError, ValidationError
+from .errors import EmptyPointSetError, NumericalError, ParseError, RangeError, ValidationError
 from .ergodic import (
     GibbsTarget,
     compare_measures,
@@ -80,23 +80,21 @@ def _load_config(args) -> cfgmod.ExperimentConfig:
 def _decompose(cfg):
     kernel = cfgmod.build_kernel(cfg)
     grid = cfgmod.build_grid(cfg)
-    K = build_operator_matrix(kernel, grid)
     dec = spectral_decompose(
-        K,
-        grid,
+        build_operator_matrix(kernel, grid), grid,
         rel_tol=float(cfg.get("galerkin", "rel_tol")),
         neg_tol=float(cfg.get("galerkin", "neg_tol")),
     )
-    return kernel, grid, K, dec
+    return kernel, grid, dec
 
 
 def _setup(cfg):
-    """Everything a run needs: kernel, grid, K, dec, gain, noise and sim."""
-    kernel, grid, K, dec = _decompose(cfg)
+    """Everything a run needs: kernel, grid, dec, gain, noise and sim."""
+    kernel, grid, dec = _decompose(cfg)
     gain = cfgmod.build_gain(cfg)
     noise = cfgmod.build_noise(cfg)
     sim = cfgmod.build_sim(cfg, cfgmod.build_u0(cfg, grid, dec))
-    return kernel, grid, K, dec, gain, noise, sim
+    return kernel, grid, dec, gain, noise, sim
 
 
 def _cmd_check_kernel(cfg, out: Path) -> int:
@@ -141,7 +139,7 @@ def _cmd_check_kernel(cfg, out: Path) -> int:
 
 
 def _cmd_spectrum(cfg, out: Path) -> int:
-    _, _, _, dec = _decompose(cfg)
+    _, _, dec = _decompose(cfg)
     write_spectrum_csv(dec, out / "spectrum.csv")
     lead = f", lambda_1 = {float(dec.lambdas[0])!r}" if dec.rank else ""
     print(f"retained rank {dec.rank}{lead}, threshold {float(dec.threshold)!r}")
@@ -149,8 +147,8 @@ def _cmd_spectrum(cfg, out: Path) -> int:
 
 
 def _cmd_simulate(cfg, out: Path) -> int:
-    kernel, grid, K, dec, gain, noise, sim = _setup(cfg)
-    traj = em_simulate_full(kernel, grid, gain, noise, sim, dec=dec, K=K)
+    kernel, grid, dec, gain, noise, sim = _setup(cfg)
+    traj = em_simulate_full(kernel, grid, gain, noise, sim, dec=dec)
     write_trajectory_csv(traj, out / "trajectory.csv")
     events = detect_switches(
         traj,
@@ -166,9 +164,9 @@ def _cmd_simulate(cfg, out: Path) -> int:
 
 
 def _cmd_galerkin_compare(cfg, out: Path) -> int:
-    kernel, grid, K, dec, gain, noise, sim = _setup(cfg)
-    n_list = [int(n) for n in cfg.get("galerkin", "n_list")]
-    rows = convergence_table(kernel, grid, dec, gain, noise, sim, n_list, K=K)
+    kernel, grid, dec, gain, noise, sim = _setup(cfg)
+    n_list = cfg.get("galerkin", "n_list")
+    rows = convergence_table(kernel, grid, dec, gain, noise, sim, n_list)
     write_csv(out / "galerkin_convergence.csv", ["n_modes", "sup_error"], rows)
     for n, err in rows:
         print(f"N = {n:4d}: sup error {err:.6e}")
@@ -176,12 +174,12 @@ def _cmd_galerkin_compare(cfg, out: Path) -> int:
 
 
 def _cmd_energy_trace(cfg, out: Path) -> int:
-    kernel, grid, K, dec, gain, noise, sim = _setup(cfg)
+    kernel, grid, dec, gain, noise, sim = _setup(cfg)
     # Deterministic trace: force eps = 0, project the start into S so the
     # Lyapunov value is defined, record every step.
     u0p = dec.reconstruct(dec.coeffs(sim.u0))
     sim = dataclasses.replace(sim, u0=u0p, epsilon=0.0, record_every=1)
-    traj = em_simulate_full(kernel, grid, gain, noise, sim, dec=dec, K=K)
+    traj = em_simulate_full(kernel, grid, gain, noise, sim, dec=dec)
     theta = traj.diagnostics["theta"]
     write_csv(out / "energy.csv", ["t", "theta"], zip(traj.times, theta))
     increases = np.diff(theta)
@@ -196,7 +194,7 @@ def _cmd_energy_trace(cfg, out: Path) -> int:
 
 
 def _cmd_ds_compare(cfg, out: Path) -> int:
-    kernel, grid, K, dec, gain, noise, sim = _setup(cfg)
+    kernel, grid, dec, gain, noise, sim = _setup(cfg)
     halvings = int(cfg.get("sim", "ds_halvings"))
     if halvings < 1:
         raise ValidationError(f"need ds_halvings >= 1, got {halvings}")
@@ -209,11 +207,13 @@ def _cmd_ds_compare(cfg, out: Path) -> int:
         )
         for j in range(halvings + 1)
     ]
+    if noise.mode != "spectral":
+        raise RangeError("the pathwise transform needs spectral noise")
     fine = sample_noise_increments(noise, dec, levels[-1].dt, sim.n_steps * 2**halvings)
     rows = []
     for j, sim_j in enumerate(levels):
         path = fine.coarsen(2 ** (halvings - j))
-        ref = em_simulate_full(kernel, grid, gain, noise, sim_j, dec=dec, path=path, K=K)
+        ref = em_simulate_full(kernel, grid, gain, noise, sim_j, dec=dec, path=path)
         ds = doss_sussmann_simulate(dec, gain, noise, sim_j, path=path)
         rows.append([sim_j.dt, sup_h_distance(dec, ref, ds)])
     for j, (dt_j, sup) in enumerate(rows):
@@ -228,7 +228,7 @@ def _cmd_ds_compare(cfg, out: Path) -> int:
 
 
 def _cmd_gibbs_compare(cfg, out: Path) -> int:
-    _, _, _, dec, gain, noise, sim = _setup(cfg)
+    _, _, dec, gain, noise, sim = _setup(cfg)
     if noise.mode != "spectral" or noise.rule != "b_sq_eq_k":
         raise ValidationError(
             "the invariant-measure comparison is defined for the reversible "

@@ -400,15 +400,13 @@ def em_simulate_full(
     cfg: SimConfig,
     dec: SpectralDecomposition | None = None,
     path: NoisePath | None = None,
-    K: np.ndarray | None = None,
 ) -> TrajectoryRecord:
     """Euler-Maruyama on the full grid.
 
     On a truncated grid K F(u) is the dense product with K =
-    `build_operator_matrix(kernel, grid)`; pass K when it is already
-    assembled, or it is assembled here.  On a periodic grid K F(u) is
-    `apply_operator`'s FFT application of the circulant K, so no dense
-    matrix is read or assembled, and a run with K equals one without.
+    `build_operator_matrix(kernel, grid)`, assembled here for the run.
+    On a periodic grid K F(u) is `apply_operator`'s FFT application of
+    the circulant K, so no dense matrix is assembled.
     dec is optional plumbing for diagnostics (and required to map
     spectral noise onto the grid).  A spectral noise block reaches the
     grid as one product xi_block @ (E b)^T.
@@ -418,14 +416,10 @@ def em_simulate_full(
     _check_gain(gain)
     if cfg.u0.grid != grid:
         raise GridMismatchError("initial condition grid does not match run grid")
-    if K is not None and K.shape != (grid.n, grid.n):
-        raise DimensionMismatchError(
-            f"operator matrix has shape {K.shape}, grid has {grid.n} nodes"
-        )
     if grid.boundary == "periodic":
         matvec = _fft_matvec(kernel, grid)
     else:
-        matvec = (build_operator_matrix(kernel, grid) if K is None else K).dot
+        matvec = build_operator_matrix(kernel, grid).dot
     target, dim = grid, grid.n
     if noise.mode == "spectral" and cfg.epsilon > 0.0:
         if dec is None:
@@ -567,19 +561,24 @@ def convergence_table(
     noise: NoiseSpec,
     cfg: SimConfig,
     n_list,
-    K: np.ndarray | None = None,
 ) -> list:
     """Sup-over-snapshots H-distance between mode-truncated runs and the
     full-grid reference, all driven by one spectral path, which each run
-    streams from noise.seed.  K is passed on to `em_simulate_full`.
+    streams from noise.seed.  Every N is checked against dec, with the
+    errors of `SpectralDecomposition.truncate`, before the reference runs.
     Returns [(N, sup_error)] in the order given."""
     if noise.mode != "spectral":
         raise RangeError("the truncation study needs spectral noise")
-    ref = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec, K=K)
+    _check_gain(gain)
+    # truncate raises for an N that dec cannot give; a valid cut has rank N
+    n_list = [dec.truncate(int(N)).rank for N in n_list]
+    if not n_list:
+        raise RangeError("the truncation study needs at least one mode count")
+    ref = em_simulate_full(kernel, grid, gain, noise, cfg, dec=dec)
     rows = []
     for N in n_list:
-        tr = galerkin_simulate(dec, gain, noise, cfg, n_modes=int(N))
-        rows.append((int(N), sup_h_distance(dec, ref, tr)))
+        tr = galerkin_simulate(dec, gain, noise, cfg, n_modes=N)
+        rows.append((N, sup_h_distance(dec, ref, tr)))
     return rows
 
 

@@ -482,7 +482,19 @@ def test_cli_energy_trace_rounding_is_monotone(tmp_path, capsys):
     assert 0.0 < np.diff(theta).max() <= 1e-12
 
 
-def test_cli_assembles_the_operator_once(tmp_path, monkeypatch):
+# one assembly for the decomposition, and one in each grid EM run: the
+# doss-sussmann comparison makes ds_halvings + 1 = 4 of them
+@pytest.mark.parametrize("command, assemblies", [
+    ("spectrum", 1),
+    ("simulate", 2),
+    ("energy-trace", 2),
+    ("galerkin-compare", 2),
+    ("doss-sussmann-compare", 5),
+    ("gibbs-compare", 1),
+])
+def test_cli_assembles_the_operator_once_per_decomposition_and_em_run(
+    tmp_path, monkeypatch, command, assemblies
+):
     calls = []
     real = cli.build_operator_matrix
 
@@ -492,15 +504,51 @@ def test_cli_assembles_the_operator_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "build_operator_matrix", counted)
     monkeypatch.setattr(sde, "build_operator_matrix", counted)
-    for command in ("simulate", "energy-trace", "galerkin-compare", "doss-sussmann-compare"):
-        calls.clear()
-        code = main([
-            command, "--out", str(tmp_path / command),
-            "--override", "sim.t_final=0.2",
-            "--override", "sim.epsilon=0.3",
-        ])
-        assert code == 0
-        assert len(calls) == 1, command
+    code = main([
+        command, "--out", str(tmp_path),
+        "--override", "sim.t_final=0.2",
+        "--override", "sim.epsilon=0.3",
+        "--override", "gibbs.mcmc_steps=200",
+        "--override", "gibbs.burn_in=20",
+        "--override", "gibbs.sde_t=20.0",
+        "--override", "gibbs.sde_burn_in=10",
+    ])
+    assert code == 0
+    assert len(calls) == assemblies
+
+
+def test_cli_ds_compare_refuses_grid_noise_before_the_draw(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kw):
+        raise AssertionError("noise path drawn")
+
+    monkeypatch.setattr(cli, "sample_noise_increments", refuse)
+    code = main(["doss-sussmann-compare", "--out", str(tmp_path),
+                 "--override", "noise.mode=white"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: RangeError: the pathwise transform needs spectral noise\n"
+    )
+
+
+@pytest.mark.parametrize("n_list, error", [
+    ("1000", "RankExceededError: 1000 modes requested, "),
+    ("2,0", "RangeError: need n_modes >= 1, got 0"),
+    ("", "RangeError: the truncation study needs at least one mode count"),
+])
+def test_cli_galerkin_compare_checks_n_list_before_the_reference(
+    tmp_path, monkeypatch, capsys, n_list, error
+):
+    def refuse(*args, **kw):
+        raise AssertionError("reference run started")
+
+    monkeypatch.setattr(sde, "em_simulate_full", refuse)
+    code = main(["galerkin-compare", "--out", str(tmp_path),
+                 "--override", f"galerkin.n_list={n_list}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "galerkin_convergence.csv").exists()
 
 
 def test_cli_ds_compare(tmp_path, capsys):

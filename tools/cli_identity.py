@@ -78,6 +78,10 @@ CASES = (
     ("doss-sussmann-compare", ("kernel.family=zero", "sim.epsilon=0.3")),
     # a dt that does not divide t_final = 1
     ("doss-sussmann-compare", ("sim.epsilon=0.3", "sim.dt=0.03")),
+    # refusals: grid noise for the pathwise transform, and more modes than
+    # the decomposition retains (exit code 1)
+    ("doss-sussmann-compare", ("noise.mode=white",)),
+    ("galerkin-compare", ("galerkin.n_list=1000",)),
 )
 
 
