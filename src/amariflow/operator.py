@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import linalg
@@ -166,6 +166,29 @@ def _column(kernel: Kernel, grid: Grid) -> np.ndarray:
 # transposed partner sit in L2
 TILE = 128
 
+# `_band_matvec` takes the band when BAND_RATIO * (2w + 1) <= n.  Median of
+# 15 interleaved timings, one BLAS thread, random symmetric K of
+# half-bandwidth w on a 2-core x86-64 host; the rule's choice in brackets:
+#
+#   n, w       dense K.dot   dsbmv
+#   128, 10        1.9 us      2.6 us   (band)
+#   128, 19        2.4 us      2.4 us   (dense)
+#   128, 31        1.8 us      3.1 us   (dense)
+#   400, 19       22.0 us      6.2 us   (band)
+#   400, 49       15.9 us      8.0 us   (band)
+#   400, 50       16.0 us      8.6 us   (dense)
+#   400, 100      15.5 us     11.7 us   (dense)
+#   2048, 100    1237 us      69 us     (band)
+#   2048, 255    1231 us     181 us     (band)
+#   2048, 620    1237 us     418 us     (dense)
+#
+# A band entry costs up to about twice a dense entry in cache, and a call
+# about 2 us: the factor 4 takes the band where it wins by a margin and
+# loses at most 0.7 us where it does not.  It keeps the dense product for
+# a wide band at large n, where dsbmv would still win; the truncated FFT
+# (`_fft_matvec`) is faster than either there.
+BAND_RATIO = 4
+
 
 def build_operator_matrix(kernel: Kernel, grid: Grid) -> np.ndarray:
     """The n x n matrix K_ij = col[m] of the column col = `_column`, with
@@ -201,6 +224,33 @@ def _fft_matvec(kernel: Kernel, grid: Grid):
     size, n = col.size, grid.n
     khat = np.fft.rfft(col)
     return lambda v: np.fft.irfft(khat * np.fft.rfft(v, size), size)[:n]
+
+
+def _band_matvec(K: np.ndarray):
+    """The map v -> K v for a dense K: `K.dot`, or one BLAS `dsbmv` on K's
+    lower band when K is narrow.  The half-bandwidth w is the largest
+    |i - j| with |K_ij| > 2^-53 * max|K|, read from K's own entries; the
+    band holds K's diagonals 0..w, and each entry left out is at most
+    that cut, so a product moves by at most n * 2^-53 * max|K| * max|v|,
+    the size of the dense product's own rounding.  The band is taken only
+    when K == K.T entry for entry (`dsbmv` reads the lower band alone, so
+    an unsymmetric K must keep every entry) and BAND_RATIO * (2w + 1) <= n.
+    A NaN in K fails the symmetry test and keeps `K.dot`."""
+    n = K.shape[0]
+    if not np.array_equal(K, K.T):
+        return K.dot
+    cut = 2.0**-53 * max(K.max(), -K.min())
+    kept = (K > cut) | (K < -cut)
+    rows = np.flatnonzero(kept.any(axis=1))
+    # K is symmetric: the band reaches as far right of the diagonal as left
+    last = n - 1 - kept[rows, ::-1].argmax(axis=1)
+    w = int((last - rows).max(initial=0))
+    if BAND_RATIO * (2 * w + 1) > n:
+        return K.dot
+    band = np.zeros((w + 1, n), order="F")
+    for d in range(w + 1):
+        band[d, : n - d] = np.diagonal(K, -d)
+    return partial(linalg.blas.dsbmv, w, 1.0, band, lower=1)
 
 
 def apply_operator(kernel: Kernel, grid: Grid, g: Field) -> Field:

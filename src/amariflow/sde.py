@@ -6,8 +6,9 @@ Three discretizations of the same flow, each a start state and a step
 function over one shared step loop (`_integrate`), which owns the
 trust-region check, the mean series, the snapshots and the noise blocks:
 
-* `em_simulate_full`: Euler-Maruyama on the grid, with the dense K on a
-  truncated grid and K applied by FFT on a periodic one.
+* `em_simulate_full`: Euler-Maruyama on the grid, with K applied as a
+  band (`dsbmv`) or a dense product on a truncated grid and by FFT on a
+  periodic one.
 * `galerkin_simulate`: Euler-Maruyama on the leading N mode coefficients;
   at N = rank it is the full dynamics in the eigenbasis.
 * `doss_sussmann_simulate`: pathwise transform Y = V - eps*B*W, with Y
@@ -57,6 +58,7 @@ from .operator import (
     Field,
     Grid,
     SpectralDecomposition,
+    _band_matvec,
     _fft_matvec,
     build_operator_matrix,
     norm_h,
@@ -403,8 +405,10 @@ def em_simulate_full(
 ) -> TrajectoryRecord:
     """Euler-Maruyama on the full grid.
 
-    On a truncated grid K F(u) is the dense product with K =
-    `build_operator_matrix(kernel, grid)`, assembled here for the run.
+    On a truncated grid K = `build_operator_matrix(kernel, grid)` is
+    assembled here for the run and applied by `_band_matvec`: one `dsbmv`
+    on its diagonals when K is symmetric and narrow, leaving out only
+    entries of at most 2^-53 max|K|, otherwise the dense product `K.dot`.
     On a periodic grid K F(u) is `apply_operator`'s FFT application of
     the circulant K, so no dense matrix is assembled.
     dec is optional plumbing for diagnostics (and required to map
@@ -419,7 +423,7 @@ def em_simulate_full(
     if grid.boundary == "periodic":
         matvec = _fft_matvec(kernel, grid)
     else:
-        matvec = build_operator_matrix(kernel, grid).dot
+        matvec = _band_matvec(build_operator_matrix(kernel, grid))
     target, dim = grid, grid.n
     if noise.mode == "spectral" and cfg.epsilon > 0.0:
         if dec is None:

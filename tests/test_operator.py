@@ -18,15 +18,18 @@ from amariflow import (
     apply_operator,
     build_operator_matrix,
     check_assumption5,
+    default_config,
     inner_h,
     inner_hminus1,
     norm_h,
     norm_hminus1,
     norm_hplus1,
+    preset_fig1,
     project_S,
     spectral_decompose,
     write_spectrum_csv,
 )
+from amariflow.config import build_grid, build_kernel
 from amariflow.errors import (
     DimensionMismatchError,
     GridMismatchError,
@@ -830,3 +833,55 @@ def test_symmetric_grid_nodes_are_the_offsets():
     for n in (1, 2, 7, 400):
         g = Grid(-20.0, 20.0, n)
         assert g.nodes.tobytes() == g.offsets.tobytes()
+
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    width=st.floats(1e-3, 1.0),
+    n=st.integers(1, 600),
+    a=st.floats(-50.0, 50.0),
+    length=st.floats(10.0, 100.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_product_is_the_dense_product_to_rounding(width, n, a, length, seed):
+    """The band product y_b = fl(K_b v), where K_b keeps the diagonals
+    |i - j| <= w of K, against the dense y_d = fl(K v), entry by entry.
+
+    With u = 2^-53 and gamma_n = n u / (1 - n u), a computed sum of n
+    products is within gamma_n (|K| |v|)_i of the exact one in any order
+    of summation (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., eq. 3.11):
+        |y_d - K v|     <= gamma_n (|K| |v|)_i,
+        |y_b - K_b v|   <= gamma_(2w+1) (|K_b| |v|)_i <= gamma_n (|K| |v|)_i.
+    The entries K_b leaves out are each at most u max|K|, and a row holds
+    fewer than n of them:
+        |K v - K_b v|_i <= n u max|K| max|v|.
+    So |y_b - y_d|_i <= n u max|K| max|v| + 2 gamma_n (|K| |v|)_i.  The
+    computed |K| |v| has nonnegative terms and is at least (1 - gamma_n)
+    times the exact one, hence the division below."""
+    grid = Grid(a, a + length, n)
+    K = build_operator_matrix(Gaussian(width=width), grid)
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    gamma = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+    bound = n * UNIT_ROUNDOFF * np.abs(K).max() * np.abs(v).max() + (
+        2.0 * gamma * (np.abs(K) @ np.abs(v)) / (1.0 - gamma)
+    )
+    assert np.all(np.abs(operator._band_matvec(K)(v) - K @ v) <= bound)
+
+
+def test_band_is_taken_for_narrow_symmetric_K_only():
+    fig1, default = preset_fig1(), default_config()
+    K = build_operator_matrix(build_kernel(fig1), build_grid(fig1))
+    assert operator._band_matvec(K).args[0] == 19
+    assert operator._band_matvec(K[:156, :156]).args[0] == 19  # 4 (2w + 1) = 156
+    short = K[:155, :155]
+    assert operator._band_matvec(short) == short.dot
+    K_default = build_operator_matrix(build_kernel(default), build_grid(default))
+    assert operator._band_matvec(K_default) == K_default.dot
+    K_zero = build_operator_matrix(Zero(), build_grid(default))
+    assert operator._band_matvec(K_zero).args[0] == 0
+    K[3, 3] = np.nan
+    assert operator._band_matvec(K) == K.dot

@@ -28,6 +28,7 @@ from amariflow import (
     fd_directional,
     galerkin_simulate,
     invariance_monitor,
+    preset_fig1,
     rw_metropolis,
     sample_noise_increments,
     spectral_decompose,
@@ -43,6 +44,7 @@ from amariflow.errors import (
     RankExceededError,
     ValidationError,
 )
+from amariflow.config import build_grid, build_kernel
 from amariflow.operator import s_residual
 from amariflow.rng import derive_rng
 from conftest import constant_field
@@ -736,6 +738,49 @@ def test_periodic_em_step_is_apply_operator(periodic_setup):
     tr = em_simulate_full(kernel, grid, gain, NoiseSpec(), cfg)
     Kf = apply_operator(kernel, grid, Field(grid, gain.f(u0.values))).values
     assert np.array_equal(u0.values + cfg.dt * (-cfg.alpha * u0.values + Kf), tr.states[1])
+
+
+def fig1_grid_run(monkeypatch, plant=None, dense=False):
+    """A deterministic 50-step cubic EM run on the fig1 kernel and grid
+    from a rough start, with `plant` applied to the K the run assembles
+    and, when dense, K applied by `K.dot` whatever its band."""
+    cfg = preset_fig1()
+    kernel, grid = build_kernel(cfg), build_grid(cfg)
+    build = sde.build_operator_matrix
+
+    def planted(kernel, grid):
+        K = build(kernel, grid)
+        if plant is not None:
+            plant(K)
+        return K
+
+    monkeypatch.setattr(sde, "build_operator_matrix", planted)
+    if dense:
+        monkeypatch.setattr(sde, "_band_matvec", lambda K: K.dot)
+    u0 = Field(grid, np.random.default_rng(5).uniform(-1.0, 1.0, grid.n))
+    sim = SimConfig(alpha=0.1, epsilon=0.0, dt=0.01, t_final=0.5, u0=u0, record_every=1)
+    tr = em_simulate_full(kernel, grid, GainSpec("cubic", allow_non_lipschitz=True),
+                          NoiseSpec(), sim)
+    monkeypatch.undo()
+    return tr.states
+
+
+def test_unsymmetric_or_wide_K_keeps_the_dense_product(monkeypatch):
+    def pair(K):
+        K[5, 300] = K[300, 5] = K[0, 0]
+
+    def upper(K):
+        K[5, 300] = K[0, 0]
+
+    def upper_in_band(K):  # w stays 19: only the symmetry test refuses the band
+        K[5, 10] = K[0, 0]
+
+    band = fig1_grid_run(monkeypatch)
+    assert not np.array_equal(band, fig1_grid_run(monkeypatch, dense=True))
+    for plant in (pair, upper, upper_in_band):
+        run = fig1_grid_run(monkeypatch, plant)
+        assert np.array_equal(run, fig1_grid_run(monkeypatch, plant, dense=True))
+        assert np.all(run[1:, 5] != band[1:, 5])  # the planted entry reaches the step
 
 
 # A NaN compares false against every bound, so each guard of a positive
