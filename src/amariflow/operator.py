@@ -387,20 +387,25 @@ def _is_centrosymmetric(K: np.ndarray) -> bool:
 
 
 def _centrosymmetric_eigh(K: np.ndarray):
-    """Eigenvalues (descending) of a symmetric, centrosymmetric K and a map
-    from a mask of them to their unit eigenvectors, by two half-size eighs
-    (Cantoni & Butler 1976).  With m = n // 2, p = n - m, J the reversal
-    and C J the columns of K's top rows taken from the right, K is
-    orthogonally similar to diag(S, D): S = A + C J acts on the even vectors
-    [x; Jx]/sqrt(2) and D = A - C J on the odd ones [y; -Jy]/sqrt(2).  For
-    odd n the middle node is its own mirror image: S gains the middle row
-    and column, scaled by sqrt(2) off the diagonal, and the even vectors
-    carry its entry unscaled, the odd ones zero.  The spectra merge by a
-    stable sort, so equal eigenvalues list the even mode first.
+    """Eigenvalues (descending) of a symmetric, centrosymmetric K, with the
+    order that sorts them and the unit eigenvectors X of S and Y of D, by
+    two half-size eighs (Cantoni & Butler 1976).  With m = n // 2,
+    p = n - m, J the reversal and C J the columns of K's top rows taken from
+    the right, K is orthogonally similar to diag(S, D): S = A + C J acts on
+    the even vectors [x; Jx]/sqrt(2) and D = A - C J on the odd ones
+    [y; -Jy]/sqrt(2).  For odd n the middle node is its own mirror image:
+    S gains the middle row and column, scaled by sqrt(2) off the diagonal,
+    and the even vectors carry its entry unscaled, the odd ones zero.  The
+    spectra merge by a stable sort, so equal eigenvalues list the even mode
+    first; order indexes the columns of [X, Y], each block descending.
 
     S and D hold half of K's rows each, so the work is a quarter of one
-    n x n eigh.  NumericalError if S or D has a non-finite entry: K + K J
-    can overflow where K is finite."""
+    n x n eigh.  Both are solved by divide and conquer (LAPACK dsyevd,
+    Cuppen 1981; Gu & Eisenstat 1995), which computes every eigenvector by
+    gemm-rich merges and deflates heavily on a decaying spectrum; its
+    workspace adds about 2 p^2 doubles to the blocks.  NumericalError
+    if S or D has a non-finite entry: K + K J can overflow where K is
+    finite."""
     n = K.shape[0]
     m, p = n // 2, n - n // 2
     CJ = K[:p, ::-1][:, :p]  # CJ_ij = K_(i, n-1-j)
@@ -412,28 +417,54 @@ def _centrosymmetric_eigh(K: np.ndarray):
     D = K[:m, :m] - CJ[:m, :m]
     if not (np.isfinite(S).all() and np.isfinite(D).all()):
         raise NumericalError("operator spectrum has non-finite eigenvalues")
-    ws, X = linalg.eigh(S, overwrite_a=True, check_finite=False)
-    wd, Y = linalg.eigh(D, overwrite_a=True, check_finite=False)
-    X, Y = X[:, ::-1], Y[:, ::-1]
+    ws, X = linalg.eigh(S, overwrite_a=True, check_finite=False, driver="evd")
+    wd, Y = linalg.eigh(D, overwrite_a=True, check_finite=False, driver="evd")
     w = np.concatenate((ws[::-1], wd[::-1]))
     order = np.argsort(-w, kind="stable")
+    return w[order], order, X[:, ::-1], Y[:, ::-1]
 
-    def vectors(keep):
-        cols = order[keep]
-        even = cols < p
-        # columns contiguous, as eigh returns them: the sign pass's argmax
-        # down each column then needs no n x r copy
-        V = np.empty((n, cols.size), order="F")
-        V[:m, even] = np.sqrt(0.5) * X[:m, cols[even]]
-        V[:m, ~even] = np.sqrt(0.5) * Y[:, cols[~even] - p]
-        V[p:] = V[:m][::-1]
-        V[p:, ~even] *= -1.0
-        if p > m:
-            V[m] = 0.0
-            V[m, even] = X[m, cols[even]]
-        return V
 
-    return w[order], vectors
+def _fix_signs(V: np.ndarray) -> None:
+    """Make the first largest-magnitude entry of each column of V positive,
+    in place: the deterministic sign of an eigenvector."""
+    if V.size:
+        piv = np.argmax(np.abs(V), axis=0)
+        signs = np.sign(V[piv, np.arange(V.shape[1])])
+        signs[signs == 0.0] = 1.0
+        V *= signs
+
+
+def _eigenfields(V: np.ndarray, h: float) -> np.ndarray:
+    """H-orthonormal eigenfields, C-contiguous, from unit eigenvectors V
+    (overwritten): signs fixed by `_fix_signs`, then divided by sqrt(h)."""
+    _fix_signs(V)
+    V /= np.sqrt(h)
+    return np.ascontiguousarray(V)
+
+
+def _mirrored_eigenfields(X: np.ndarray, Y: np.ndarray, cols: np.ndarray, h: float) -> np.ndarray:
+    """`_eigenfields` of the split's columns cols of [X, Y] (the even
+    vectors [x; Jx]/sqrt(2), the odd ones [y; -Jy]/sqrt(2)), built in place
+    from the top p = X.shape[0] rows: every |entry| of a mirrored column
+    appears in its top p rows, the middle one of odd n included, and first
+    there, so the sign rule reads the same pivot.  Signs and the division
+    by sqrt(h) act on the top rows, then the bottom ones are written as
+    their mirror image, negated for odd modes.  A sign flip commutes with
+    both exactly, so the result is `_eigenfields` of the assembled n x r
+    vectors bit for bit, with |V| taken of the top rows only and no copy."""
+    p, m = X.shape[0], Y.shape[0]
+    even = cols < p
+    V = np.empty((p + m, cols.size))
+    top = V[:p]
+    top[:m, even] = np.sqrt(0.5) * X[:m, cols[even]]
+    top[:m, ~even] = np.sqrt(0.5) * Y[:, cols[~even] - p]
+    if p > m:
+        top[m] = 0.0
+        top[m, even] = X[m, cols[even]]
+    _fix_signs(top)
+    top /= np.sqrt(h)
+    np.multiply(top[:m][::-1], np.where(even, 1.0, -1.0), out=V[p:])
+    return V
 
 
 def spectral_decompose(
@@ -480,14 +511,17 @@ def spectral_decompose(
         raise ValidationError("operator matrix is not symmetric")
     if closed_form:
         w, freq, sine = _fourier_spectrum(col)
-        vectors = lambda keep: _fourier_vectors(freq[keep], sine[keep], grid.n)
+        eigenfields = lambda keep: _eigenfields(
+            _fourier_vectors(freq[keep], sine[keep], grid.n), grid.h
+        )
     elif _is_centrosymmetric(K):
-        w, vectors = _centrosymmetric_eigh(K)
+        w, order, X, Y = _centrosymmetric_eigh(K)
+        eigenfields = lambda keep: _mirrored_eigenfields(X, Y, order[keep], grid.h)
     else:
         # the finite scale above already proves every entry finite
-        w, V = linalg.eigh(K, check_finite=False)
+        w, V = linalg.eigh(K, check_finite=False, driver="evd")
         w, V = w[::-1], V[:, ::-1]
-        vectors = lambda keep: V[:, keep]
+        eigenfields = lambda keep: _eigenfields(V[:, keep], grid.h)
     if not np.isfinite(w).all():
         raise NumericalError("operator spectrum has non-finite eigenvalues")
     lam_abs_max = float(np.abs(w).max())
@@ -500,20 +534,10 @@ def spectral_decompose(
     keep = w > tau
     discarded = w[~keep]
     discarded_max = float(discarded.max()) if discarded.size else 0.0
-    w = w[keep]
-    V = vectors(keep)
-    del vectors  # frees the split's half-size eigenvectors before the sign pass
-    # Deterministic sign: largest-magnitude component of each mode positive.
-    if V.size:
-        piv = np.argmax(np.abs(V), axis=0)
-        signs = np.sign(V[piv, np.arange(V.shape[1])])
-        signs[signs == 0.0] = 1.0
-        V *= signs
-    V /= np.sqrt(grid.h)
     return SpectralDecomposition(
         grid=grid,
-        lambdas=w,
-        eigenfields=np.ascontiguousarray(V),
+        lambdas=w[keep],
+        eigenfields=eigenfields(keep),
         threshold=tau,
         discarded_max=discarded_max,
     )

@@ -629,19 +629,14 @@ def detect_switches(traj: TrajectoryRecord, lower: float, upper: float) -> list:
     if traj.mean_series is None:
         raise InsufficientDataError("trajectory record has no mean series")
     means = np.asarray(traj.mean_series, dtype=float)
-    times = np.arange(means.size) * traj.dt
-    events = []
-    regime = None
-    for t, m in zip(times, means):
-        if m >= upper and regime != "up":
-            if regime == "down":
-                events.append((float(t), "up"))
-            regime = "up"
-        elif m <= lower and regime != "down":
-            if regime == "up":
-                events.append((float(t), "down"))
-            regime = "down"
-    return events
+    # the steps that reach a threshold and the side each reaches; a regime
+    # change is a step whose side differs from the previous such step's,
+    # and the first of them only sets the regime
+    hits = np.flatnonzero((means >= upper) | (means <= lower))
+    up = means[hits] >= upper
+    changes = np.flatnonzero(up[1:] != up[:-1]) + 1
+    times = hits[changes] * traj.dt  # np.arange(n) * dt at those steps
+    return [(float(t), "up" if u else "down") for t, u in zip(times, up[changes])]
 
 
 def write_trajectory_csv(traj: TrajectoryRecord, path):

@@ -3,8 +3,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import linalg
 
 from amariflow import operator
@@ -817,6 +818,108 @@ def test_truncated_split_smallest_grids(n):
         odd = [i for i, e in enumerate(E.T) if e[1] == 0.0]
         assert len(odd) == 1
         assert abs(dec.lambdas[odd[0]] - h * (1.0 - j2)) <= 1e-15 * dec.lambdas[0]
+
+
+def assembled_eigenfields(X, Y, cols, h):
+    """The split's eigenfields as first assembled at full height, column
+    major, then passed through the generic sign pass, the division by
+    sqrt(h) and a C-contiguous copy."""
+    p, m = X.shape[0], Y.shape[0]
+    even = cols < p
+    V = np.empty((p + m, cols.size), order="F")
+    V[:m, even] = np.sqrt(0.5) * X[:m, cols[even]]
+    V[:m, ~even] = np.sqrt(0.5) * Y[:, cols[~even] - p]
+    V[p:] = V[:m][::-1]
+    V[p:, ~even] *= -1.0
+    if p > m:
+        V[m] = 0.0
+        V[m, even] = X[m, cols[even]]
+    if V.size:
+        piv = np.argmax(np.abs(V), axis=0)
+        signs = np.sign(V[piv, np.arange(V.shape[1])])
+        signs[signs == 0.0] = 1.0
+        V *= signs
+    V /= np.sqrt(h)
+    return np.ascontiguousarray(V)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(0, 12),
+    odd=st.booleans(),
+    h=st.floats(1e-3, 10.0),
+    data=st.data(),
+)
+def test_mirrored_eigenfields_are_the_assembled_ones_bit_for_bit(m, odd, h, data):
+    # entries from a few values, zeros and signed ties included, so the
+    # sign rule's first largest |entry| is often a tie
+    p = m + odd
+    values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, -0.75, 0.75, 1.0 / 3.0])
+    X = data.draw(arrays(np.float64, (p, p), elements=values))
+    Y = data.draw(arrays(np.float64, (m, m), elements=values))
+    cols = np.array(data.draw(st.permutations(range(p + m))), dtype=np.intp)
+    cols = cols[: data.draw(st.integers(0, p + m))]
+    got = operator._mirrored_eigenfields(X, Y, cols, h)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == assembled_eigenfields(X, Y, cols, h).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 400])
+def test_split_eigenfields_are_the_assembled_ones_bit_for_bit(n):
+    grid = Grid(0.0, 7.0, n)
+    K = build_operator_matrix(Gaussian(width=0.3), grid)
+    w, order, X, Y = operator._centrosymmetric_eigh(K)
+    dec = spectral_decompose(K, grid)
+    cols = order[: dec.rank]
+    assert dec.eigenfields.tobytes() == assembled_eigenfields(X, Y, cols, grid.h).tobytes()
+    assert dec.lambdas.tobytes() == w[: dec.rank].tobytes()
+
+
+# lambda of the probabilistic rounding bound below, and the smallest n at
+# which lambda sqrt(2 n + 5) <= n
+ORTHO_LAMBDA = 6.0
+ORTHO_MIN_N = 75
+
+
+@settings(max_examples=60, deadline=None)
+@example(kernel=Gaussian(width=0.05, scale=7.978845608028654), n=400, a=-20.0, length=40.0)
+@given(
+    kernel=SPLIT_KERNELS,
+    n=st.integers(ORTHO_MIN_N, 400),
+    a=st.floats(-50.0, 50.0),
+    length=st.floats(0.5, 60.0),
+)
+def test_split_eigenfields_are_h_orthonormal_to_n_unit_roundoffs(kernel, n, a, length):
+    """max|h E^T E - I| <= n u, u = 2^-53, for the split's eigenfields E.
+
+    An entry of h E^T E - I gathers two kinds of rounding.
+    - The solver's: dsyevd returns the eigenvectors X of S and Y of D
+      orthonormal to working precision, each entry of X^T X - I the
+      rounding of the O(p) transformations that built the two columns
+      (Householder back-transformation and the divide-and-conquer merges'
+      products), at most p <= n roundings.
+    - The product's: sum_k E_ki E_kj has n terms, each term carrying the
+      scalings by sqrt(1/2) and 1/sqrt(h) of both factors and the sum's own
+      rounding; the product with h adds one more.  Its n + 5 roundings
+      give the deterministic gamma_(n+5) ~ (n + 5) u (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, 2nd ed., eq. 3.5).
+    Mirroring is exact: [x; Jx] / sqrt(2) has the inner products of x.
+    The worst case, (2 n + 5) u, is reached only if every rounding has the
+    same sign.  Roundings are independent with mean zero, so m of them
+    add like a random walk: with probability at least
+    1 - 2 exp(-lambda^2 / 2) their sum is at most lambda sqrt(m) u
+    (Higham & Mary, *SIAM J. Sci. Comput.* 41, 2019).  With
+    m = 2 n + 5 and lambda = 6, an entry fails with probability below
+    about 3e-8, and lambda sqrt(2 n + 5) <= n once n >= 75, the grids
+    drawn here.
+    Below that the fixed roundings dominate: n = 1 already shows 3 u.
+    MRRR's eigenvectors (`evr`) were 8.5e-14 from orthonormal on the fig1
+    geometry, above its n u = 4.4e-14."""
+    grid = Grid(a, a + length, n)
+    dec = decompose_or_refuse(spectral_decompose, build_operator_matrix(kernel, grid), grid)
+    assume(dec is not None)
+    E = dec.eigenfields
+    assert np.max(np.abs(grid.h * (E.T @ E) - np.eye(dec.rank))) <= n * UNIT_ROUNDOFF
 
 
 def test_grid_refuses_a_non_finite_or_zero_cell():

@@ -662,6 +662,45 @@ def test_detect_switches():
         detect_switches(flat, 0.5, -0.5)
 
 
+def loop_detect_switches(means, dt, lower, upper):
+    """The step-by-step hysteresis loop that `detect_switches` replaces."""
+    times = np.arange(means.size) * dt
+    events = []
+    regime = None
+    for t, m in zip(times, means):
+        if m >= upper and regime != "up":
+            if regime == "down":
+                events.append((float(t), "up"))
+            regime = "up"
+        elif m <= lower and regime != "down":
+            if regime == "up":
+                events.append((float(t), "down"))
+            regime = "down"
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    means=arrays(np.float64, st.integers(0, 300), elements=st.one_of(
+        st.floats(-1.5, 1.5),
+        st.sampled_from([-0.5, 0.5, np.nan, np.inf, -np.inf]),
+    )),
+    dt=st.floats(1e-4, 1.0),
+    lower=st.one_of(st.just(-0.5), st.floats(-1.0, 0.4)),
+    width=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+)
+def test_detect_switches_matches_the_loop(means, dt, lower, width):
+    # thresholds hit exactly, NaN means and infinite ones included
+    upper = lower + width
+    g = Grid(0.0, 1.0, 4)
+    tr = TrajectoryRecord(kind="grid", times=np.zeros(1), states=np.zeros((1, 4)),
+                          dt=dt, seed=0, integrator="em_full", grid=g,
+                          mean_series=means)
+    events = detect_switches(tr, lower, upper)
+    assert events == loop_detect_switches(means, dt, lower, upper)
+    assert all(type(t) is float for t, _ in events)
+
+
 def test_detect_switches_needs_the_mean_series():
     g = Grid(0.0, 1.0, 4)
     bare = TrajectoryRecord(kind="grid", times=np.arange(3) * 0.1,

@@ -54,6 +54,11 @@ CASES = (
     ("fig1", ("sim.epsilon=0", "sim.t_final=20")),
     # grid white noise leaves the trust region before t = 20: exit code 2
     ("fig1", ("sim.t_final=20", "noise.mode=white", "sim.epsilon=0.5")),
+    # the fig1 geometry's spectrum: the even/odd split at rank 388 of 400
+    ("spectrum", (
+        "kernel.family=gaussian", "kernel.width=0.05", "kernel.scale=7.978845608028654",
+        "grid.a=-20.0", "grid.b=20.0", "grid.n=400",
+    )),
     ("simulate", (*WIDE_PERIODIC, "sim.t_final=1")),
     # the closed-form spectrum of the n = 2048 circulant
     ("spectrum", WIDE_PERIODIC),
