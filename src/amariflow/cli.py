@@ -236,6 +236,15 @@ def _cmd_gibbs_compare(cfg, out: Path) -> int:
         )
     N = int(cfg.get("gibbs", "n_modes"))
     target = GibbsTarget(dec=dec, gain=gain, alpha=sim.alpha, epsilon=sim.epsilon, n_modes=N)
+    # the SDE leg is checked before the chain runs
+    sim = dataclasses.replace(
+        sim,
+        t_final=float(cfg.get("gibbs", "sde_t")),
+        record_every=int(cfg.get("gibbs", "sde_record_every")),
+    )
+    sde_burn_in = int(cfg.get("gibbs", "sde_burn_in"))
+    if sde_burn_in < 0:
+        raise RangeError(f"need burn_in >= 0, got {sde_burn_in!r}")
     samples, acc = rw_metropolis(
         target,
         steps=int(cfg.get("gibbs", "mcmc_steps")),
@@ -244,14 +253,9 @@ def _cmd_gibbs_compare(cfg, out: Path) -> int:
         burn_in=int(cfg.get("gibbs", "burn_in")),
     )
     write_samples_csv(samples, out / "samples.csv")
-    sim = dataclasses.replace(
-        sim,
-        t_final=float(cfg.get("gibbs", "sde_t")),
-        record_every=int(cfg.get("gibbs", "sde_record_every")),
-    )
     traj = galerkin_simulate(dec, gain, noise, sim, n_modes=N)
     m_mcmc = ergodic_moments(samples)
-    m_sde = ergodic_moments(traj, burn_in=int(cfg.get("gibbs", "sde_burn_in")))
+    m_sde = ergodic_moments(traj, burn_in=sde_burn_in)
     report = compare_measures(m_mcmc, m_sde)
     write_moment_report_jsonl(report, out / "moment_report.jsonl")
     verdict = familywise_verdict(report)

@@ -229,22 +229,20 @@ def _fft_matvec(kernel: Kernel, grid: Grid):
 def _band_matvec(K: np.ndarray):
     """The map v -> K v for a dense K: `K.dot`, or one BLAS `dsbmv` on K's
     lower band when K is narrow.  The half-bandwidth w is the largest
-    |i - j| with |K_ij| > 2^-53 * max|K|, read from K's own entries; the
-    band holds K's diagonals 0..w, and each entry left out is at most
-    that cut, so a product moves by at most n * 2^-53 * max|K| * max|v|,
-    the size of the dense product's own rounding.  The band is taken only
-    when K == K.T entry for entry (`dsbmv` reads the lower band alone, so
-    an unsymmetric K must keep every entry) and BAND_RATIO * (2w + 1) <= n.
-    A NaN in K fails the symmetry test and keeps `K.dot`."""
+    |i - j| with |K_ij| > 2^-53 * max|K|, read one diagonal at a time from
+    the far corner inward; the band holds K's diagonals 0..w, and each
+    entry left out is at most that cut, so a product moves by at most
+    n * 2^-53 * max|K| * max|v|, the size of the dense product's own
+    rounding.  The band is taken only when K is finite, `_asymmetry(K)` is
+    0 (`dsbmv` reads the lower band alone, so an unsymmetric K must keep
+    every entry) and BAND_RATIO * (2w + 1) <= n; a NaN or infinite entry
+    keeps `K.dot`."""
     n = K.shape[0]
-    if not np.array_equal(K, K.T):
+    scale = max(K.max(), -K.min())
+    if not (np.isfinite(scale) and _asymmetry(K) == 0.0):
         return K.dot
-    cut = 2.0**-53 * max(K.max(), -K.min())
-    kept = (K > cut) | (K < -cut)
-    rows = np.flatnonzero(kept.any(axis=1))
-    # K is symmetric: the band reaches as far right of the diagonal as left
-    last = n - 1 - kept[rows, ::-1].argmax(axis=1)
-    w = int((last - rows).max(initial=0))
+    cut = 2.0**-53 * scale
+    w = next((d for d in range(n - 1, 0, -1) if np.abs(np.diagonal(K, -d)).max() > cut), 0)
     if BAND_RATIO * (2 * w + 1) > n:
         return K.dot
     band = np.zeros((w + 1, n), order="F")

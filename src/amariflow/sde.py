@@ -281,23 +281,24 @@ def _snapshot_indices(steps: int, record_every: int) -> np.ndarray:
 
 
 def _mode_diagnostics(flow: ModeFlow, c, u, hn=None):
-    """The DIAGNOSTICS of a state in S with mode coefficients c on the
-    flow's modes and grid values u; hn, its H norm, defaults to |c|."""
+    """The DIAGNOSTICS but the mean (`_integrate` has it in its mean
+    series) of a state in S with mode coefficients c on the flow's
+    modes and grid values u; hn, its H norm, defaults to |c|."""
     hn = float(np.sqrt(np.sum(c * c))) if hn is None else hn
     hm1sq = float(flow.dec.hminus1_sq(c))
-    return float(u.mean()), hn, float(np.sqrt(hm1sq)), flow.theta(c, u)
+    return hn, float(np.sqrt(hm1sq)), flow.theta(c, u)
 
 
 def _grid_diagnostics(flow: ModeFlow | None, grid, u):
-    """The DIAGNOSTICS of grid values u, with NaN nonlocal norm and
-    Lyapunov value without a flow or when u is not resolvable in S (grid
-    noise has white components outside S: expected, not an error)."""
+    """The DIAGNOSTICS but the mean of grid values u, with NaN nonlocal
+    norm and Lyapunov value without a flow or when u is not resolvable in
+    S (grid noise has white components outside S: expected, not an error)."""
     hn = float(np.sqrt(grid.h) * np.linalg.norm(u))
     if flow is not None:
         c, rel = s_residual(flow.dec, Field(grid, u))
         if rel <= MEMBERSHIP_TOL:
             return _mode_diagnostics(flow, c, u, hn)
-    return float(u.mean()), hn, np.nan, np.nan
+    return hn, np.nan, np.nan
 
 
 def _check_gain(gain: GainSpec):
@@ -332,9 +333,10 @@ def _integrate(cfg, noise, path, target, dim, kicks, start, step, diagnose, **re
     for `target`, cut to dim components, to one row per step; blocks have
     NOISE_BLOCK_BYTES // (8 n) rows, drawn from derive_rng(noise.seed, 0)
     or sliced from path.increments, which give the same rows.
-    diagnose(x, u) gives the DIAGNOSTICS; record holds the scheme's own
-    TrajectoryRecord fields.  Raises BlowUp when u leaves |u| <= cfg.clamp,
-    the start included.
+    diagnose(x, u) gives the DIAGNOSTICS but the mean; a snapshot's mean
+    is its entry of the mean series, so it is computed once per step.
+    record holds the scheme's own TrajectoryRecord fields.  Raises BlowUp
+    when u leaves |u| <= cfg.clamp, the start included.
     """
     steps, dt = cfg.n_steps, cfg.dt
     stochastic = cfg.epsilon > 0.0
@@ -370,7 +372,7 @@ def _integrate(cfg, noise, path, target, dim, kicks, start, step, diagnose, **re
         mean_series[k] = np.add.reduce(u) / u.size  # u.mean(), bitwise, faster
         if snaps[si] == k:
             states[si] = x
-            diag[si] = diagnose(x, u)
+            diag[si] = (mean_series[k], *diagnose(x, u))
             si += 1
         if k == steps:
             break
@@ -513,7 +515,8 @@ def doss_sussmann_simulate(
 
     Y follows dY/dt = -grad Theta(Y + eps*B*W_t) with the path read at the
     right edge of each step (see module docstring); the recorded states are
-    V_k = Y_k + eps*B*W_(t_k), as mode coefficients.
+    V_k = Y_k + eps*B*W_(t_k), as mode coefficients.  The step keeps W
+    itself, adding each row of standard increments as it arrives.
     """
     _check_gain(gain)
     if noise.mode != "spectral":
@@ -526,23 +529,16 @@ def doss_sussmann_simulate(
     y = dec.coeffs(cfg.u0)
     resid = norm_h(Field(dec.grid, cfg.u0.values - E @ y))
     zero = np.zeros(dec.rank)
-    w_end = zero  # W at the end of the last block
+    W = zero  # the path at the right edge of the last step
 
-    def kicks(xi):
-        # the running sum, added in order as np.cumsum does, so the rows
-        # are bitwise NoisePath.cumulative()'s
-        nonlocal w_end
-        bw = xi.copy()
-        bw[0] += w_end
-        np.cumsum(bw, axis=0, out=bw)
-        w_end = bw[-1].copy()
-        bw *= eb
-        return bw
-
-    def step(w):
-        # the mode drift -Lambda grad Theta_N at the shifted state
-        nonlocal y
-        w = zero if w is None else w
+    def step(xi):
+        # the mode drift -Lambda grad Theta_N at the shifted state; W adds
+        # the rows in order, as NoisePath.cumulative()'s np.cumsum does
+        nonlocal y, W
+        w = zero
+        if xi is not None:
+            W = W + xi
+            w = eb * W
         z = y + w
         y = y + cfg.dt * drift(z, E @ z)
         v = y + w
@@ -550,7 +546,7 @@ def doss_sussmann_simulate(
 
     v = y + zero
     return _integrate(
-        cfg, noise, path, dec, dec.rank, kicks, (v, E @ v), step,
+        cfg, noise, path, dec, dec.rank, lambda xi: xi, (v, E @ v), step,
         lambda x, u: _mode_diagnostics(flow, x, u),
         kind="modes", integrator="doss_sussmann", grid=dec.grid,
         projection_residual=resid,

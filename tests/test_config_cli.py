@@ -399,6 +399,17 @@ def test_cli_negative_seed_or_gram_points_is_one_line_in_a_subprocess(tmp_path, 
     assert proc.stderr == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("args, error", [
+    (("doss-sussmann-compare", "--override", "sim.ds_halvings=0"),
+     "ValidationError: need ds_halvings >= 1, got 0"),
+    (("simulate", "--override", "sim.clamp=0"), "RangeError: clamp must be positive, got 0.0"),
+])
+def test_cli_zero_halvings_or_clamp_is_one_line_in_a_subprocess(tmp_path, args, error):
+    proc = cli_subprocess(tmp_path, *args)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {error}\n"
+
+
 def test_cli_simulate_outputs(tmp_path, capsys):
     code = main([
         "simulate", "--out", str(tmp_path),
@@ -652,6 +663,17 @@ def test_cli_gibbs_compare_needs_reversible_rule(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ValidationError:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("override, error", [
+    ("gibbs.sde_t=-1", "RangeError: t_final must be positive, got -1.0"),
+    ("gibbs.sde_record_every=0", "RangeError: record_every must be an integer >= 1, got 0"),
+    ("gibbs.sde_burn_in=-1", "RangeError: need burn_in >= 0, got -1"),
+])
+def test_cli_gibbs_compare_checks_its_sde_leg_before_the_chain(tmp_path, capsys, override, error):
+    assert main(["gibbs-compare", "--out", str(tmp_path), "--override", override]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def test_cli_fig1_smoke(tmp_path, capsys):

@@ -276,3 +276,10 @@ def test_moment_report_jsonl(tmp_path):
                        "n_comparisons": 4,
                        "familywise_threshold": sidak_threshold(4),
                        "familywise_passed": rep.max_abs_z <= sidak_threshold(4)}
+
+
+def test_log_density_refuses_a_point_of_the_wrong_shape(gauss_setup):
+    _, _, dec = gauss_setup
+    tgt = GibbsTarget(dec, GainSpec("sigmoid"), alpha=1.0, epsilon=0.5, n_modes=3)
+    with pytest.raises(DimensionMismatchError):
+        gibbs_log_density(tgt, np.zeros(4))

@@ -280,3 +280,15 @@ def test_parameter_validation():
         CosineSum(weights=(1.0, 0.5), freqs=(1.0, -1.0))
     with pytest.raises(DimensionMismatchError):
         CosineSum(weights=(1.0,), freqs=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Laplace(m=-1.0),
+    lambda: CosineSum(weights=(), freqs=()),
+    lambda: CosineSum(freqs=(np.inf,)),
+    lambda: CosineSum(freqs=(np.nan,)),
+    lambda: MexicanHatExp(ratio=1.5),
+])
+def test_out_of_range_parameters_are_refused(make):
+    with pytest.raises(RangeError):
+        make()

@@ -988,3 +988,73 @@ def test_band_is_taken_for_narrow_symmetric_K_only():
     assert operator._band_matvec(K_zero).args[0] == 0
     K[3, 3] = np.nan
     assert operator._band_matvec(K) == K.dot
+
+
+@pytest.mark.parametrize("plant", [
+    {(5, 300): np.inf, (300, 5): np.inf},
+    {(5, 6): -np.inf, (6, 5): -np.inf},
+    {(7, 7): np.inf},
+    {(3, 3): np.nan},
+])
+def test_band_rule_refuses_a_non_finite_K(plant):
+    """An infinite cut keeps no entry, so a non-finite K must not reach
+    the band rule: it would take w = 0 and drop every off-diagonal."""
+    fig1 = preset_fig1()
+    B = build_operator_matrix(build_kernel(fig1), build_grid(fig1))
+    for ij, value in plant.items():
+        B[ij] = value
+    assert operator._band_matvec(B) == B.dot
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 80),
+    band=st.integers(0, 12),
+    far=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79),
+                           st.sampled_from([-1, 0, 1]), st.booleans()), max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=80, band=2, far=[(0, 79, 1, True)], seed=0)  # the far corner
+def test_band_width_is_the_farthest_entry_above_the_cut(n, band, far, seed):
+    """w against its definition, the largest |i - j| over the entries with
+    |K_ij| > 2^-53 max|K|, on symmetric K with random bands and far pairs
+    one ulp below, at, or one ulp above the cut."""
+    w = min(band, n - 1)
+    A = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, n))
+    i, j = np.indices((n, n))
+    A[np.abs(i - j) > w] = 0.0
+    K = A + A.T
+    cut = UNIT_ROUNDOFF * np.abs(K).max()
+    for p, q, ulps, negative in far:
+        p, q = p % n, q % n
+        if abs(p - q) > w:
+            value = {-1: np.nextafter(cut, 0.0), 0: cut, 1: np.nextafter(cut, np.inf)}[ulps]
+            K[p, q] = K[q, p] = -value if negative else value
+    cut = UNIT_ROUNDOFF * np.abs(K).max()
+    rows, cols = np.nonzero(np.abs(K) > cut)
+    w_ref = int(np.abs(rows - cols).max(initial=0))
+    matvec = operator._band_matvec(K)
+    if matvec == K.dot:
+        assert operator.BAND_RATIO * (2 * w_ref + 1) > n
+    else:
+        assert matvec.args[0] == w_ref
+
+
+def test_operator_refusals_on_another_grid_or_shape(gauss_setup):
+    kernel, grid, dec = gauss_setup
+    other = constant_field(Grid(-4.0, 4.0, grid.n + 1), 1.0)
+    with pytest.raises(GridMismatchError):
+        apply_operator(kernel, grid, other)
+    with pytest.raises(GridMismatchError):
+        dec.coeffs(other)
+    with pytest.raises(DimensionMismatchError):
+        dec.reconstruct(np.zeros((2, dec.rank)))
+    with pytest.raises(GridMismatchError):
+        spectral_decompose(np.eye(grid.n + 1), grid)
+
+
+def test_field_scales_from_either_side():
+    f = Field(Grid(0.0, 1.0, 4), np.array([1.0, -2.0, 0.5, 0.0]))
+    for g in (f * 3, 3 * f):
+        assert g.grid == f.grid
+        assert np.array_equal(g.values, [3.0, -6.0, 1.5, 0.0])

@@ -846,3 +846,36 @@ NON_FINITE_CALLS = {
 def test_non_finite_arguments_are_refused(gauss_setup, call, x):
     with pytest.raises(RangeError):
         NON_FINITE_CALLS[call](*gauss_setup, x)
+
+
+def test_path_of_another_kind_or_width_is_refused(gauss_setup):
+    _, grid, dec = gauss_setup
+    spec = NoiseSpec(seed=7)
+    cfg = SimConfig(alpha=1.0, epsilon=0.2, dt=0.01, t_final=0.5,
+                    u0=constant_field(grid, 0.0))
+    grid_path = sample_noise_increments(NoiseSpec(mode="white", rule=None, seed=7),
+                                        grid, cfg.dt, cfg.n_steps)
+    with pytest.raises(RangeError):
+        galerkin_simulate(dec, GainSpec("zero"), spec, cfg, path=grid_path)
+    narrow = sample_noise_increments(spec, dec.truncate(3), cfg.dt, cfg.n_steps)
+    with pytest.raises(DimensionMismatchError):
+        galerkin_simulate(dec, GainSpec("zero"), spec, cfg, path=narrow)
+
+
+def test_noise_draw_refuses_a_target_of_the_wrong_kind(gauss_setup):
+    _, grid, _ = gauss_setup
+    with pytest.raises(RangeError):
+        sample_noise_increments(NoiseSpec(mode="white", rule=None), "grid", 0.01, 5)
+    with pytest.raises(RangeError):
+        sample_noise_increments(NoiseSpec(), grid, 0.01, 5)
+
+
+def test_record_and_config_refuse_a_short_diagnostic_or_zero_clamp():
+    g = Grid(0.0, 1.0, 4)
+    with pytest.raises(DimensionMismatchError):
+        TrajectoryRecord(kind="grid", times=np.array([0.0, 0.1]),
+                         states=np.zeros((2, 4)), dt=0.1, seed=0,
+                         integrator="em_full", grid=g,
+                         diagnostics={"mean": np.zeros(3)})
+    with pytest.raises(RangeError):
+        zero_cfg(g, clamp=0)

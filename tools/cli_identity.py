@@ -48,6 +48,14 @@ CASES = (
     ("galerkin-compare", ()),
     ("gibbs-compare", ()),
     ("doss-sussmann-compare", ("sim.epsilon=0.3",)),
+    # the fig1 geometry: the Doss-Sussmann step at rank 388 and the band EM
+    # step on shared paths
+    ("doss-sussmann-compare", (
+        "kernel.width=0.05", "kernel.scale=7.978845608028654",
+        "grid.a=-20.0", "grid.b=20.0", "grid.n=400",
+        "gain.family=cubic", "gain.allow_non_lipschitz=true",
+        "sim.alpha=0.1", "sim.epsilon=0.3", "sim.u0=0.8", "sim.t_final=2",
+    )),
     ("fig1", ("sim.t_final=20",)),
     # the settled deterministic state, whose subnormal products slow the
     # dense product; the fig1 K is applied as a band of half-width 19
