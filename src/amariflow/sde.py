@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -328,17 +329,28 @@ def _integrate(cfg, noise, path, target, dim, kicks, start, step, diagnose, **re
     """The step loop of every integrator.
 
     start is (x, u): the recorded state at t = 0 and its grid values.
-    step(w) returns the next (x, u); w is the step's row of kicks(xi), or
-    None when cfg.epsilon is 0.  kicks maps a block of standard increments
-    for `target`, cut to dim components, to one row per step; blocks have
-    NOISE_BLOCK_BYTES // (8 n) rows, drawn from derive_rng(noise.seed, 0)
-    or sliced from path.increments, which give the same rows.
-    diagnose(x, u) gives the DIAGNOSTICS but the mean; a snapshot's mean
-    is its entry of the mean series, so it is computed once per step.
-    record holds the scheme's own TrajectoryRecord fields.  Raises BlowUp
-    when u leaves |u| <= cfg.clamp, the start included.
+    The loop runs in blocks of NOISE_BLOCK_BYTES // (8 n) steps, with or
+    without noise, and their grid values fill the rows of one (m, n)
+    buffer.  step(u, w, row) advances the current grid values u by one
+    step, writes the next grid values into row and returns the next
+    recorded state x; w is the step's row of kicks(xi, B), or None when
+    cfg.epsilon is 0.  kicks maps a block of standard increments for
+    `target`, cut to dim components, to one row per step, and may write
+    them into B, the block's rows of the buffer: the grid step reads its
+    kick from the row it then overwrites.  The increments are drawn from
+    derive_rng(noise.seed, 0) or sliced from path.increments, which give
+    the same rows.
+
+    The trust-region check, the mean series and the snapshot diagnostics
+    run once per block, after its last step: a blown-up state steps on to
+    the end of its block, and the first row that left |u| <= cfg.clamp
+    raises BlowUp with its exact step and time, the start included.
+    diagnose(x, u) gives the DIAGNOSTICS but the mean, for snapshots of
+    a block that passed; a snapshot's mean is its entry of the mean
+    series.  record holds the scheme's own TrajectoryRecord fields.
     """
-    steps, dt = cfg.n_steps, cfg.dt
+    steps, dt, n = cfg.n_steps, cfg.dt, record["grid"].n
+    block = max(1, NOISE_BLOCK_BYTES // (8 * n))
     stochastic = cfg.epsilon > 0.0
     if stochastic:
         if path is None:
@@ -354,36 +366,56 @@ def _integrate(cfg, noise, path, target, dim, kicks, start, step, diagnose, **re
             def rows(k, m):
                 return path.increments[k : k + m, :dim]
 
-        block = max(1, NOISE_BLOCK_BYTES // (8 * record["grid"].n))
-
     snaps = _snapshot_indices(steps, cfg.record_every)
     x, u = start
     states = np.empty((snaps.size, x.size))
     diag = np.empty((snaps.size, 4))
     mean_series = np.empty(steps + 1)
-    si = 0
-    for k in range(steps + 1):
-        if not float(np.abs(u).max()) <= cfg.clamp:  # NaN fails too
+    # snapshot steps as ints, with a sentinel past the last step
+    snap_steps = [*snaps.tolist(), steps + 1]
+    done = 0  # snapshots with diagnostics
+
+    def settle(U, k1, si):
+        """Check the grid values U of steps k1, k1 + 1, ..., then record
+        their means and the diagnostics of snapshots done .. si - 1."""
+        nonlocal done
+        inside = np.maximum(U.max(axis=1), -U.min(axis=1)) <= cfg.clamp  # NaN fails too
+        if not inside.all():
+            k = k1 + int(inside.argmin())
             raise BlowUpError(
                 f"state left trust region |u| <= {cfg.clamp} at step {k}",
                 step=k,
                 time=k * dt,
             )
-        mean_series[k] = np.add.reduce(u) / u.size  # u.mean(), bitwise, faster
-        if snaps[si] == k:
-            states[si] = x
-            diag[si] = (mean_series[k], *diagnose(x, u))
-            si += 1
-        if k == steps:
-            break
+        mean_series[k1 : k1 + len(U)] = np.add.reduce(U, axis=1) / n  # u.mean(), bitwise
+        for i in range(done, si):
+            k = snap_steps[i]
+            diag[i] = (mean_series[k], *diagnose(states[i], U[k - k1]))
+        done = si
+
+    states[0] = x
+    settle(u[None], 0, 1)
+    si, nxt = 1, snap_steps[1]
+    buf = np.empty((min(block, steps), n))
+    carry = np.empty(n)
+    for k1 in range(1, steps + 1, block):
+        B = buf[: min(block, steps + 1 - k1)]
         if stochastic:
-            j = k % block
-            if j == 0:
-                w = None  # release the last block before the next is drawn
-                w = kicks(rows(k, min(block, steps - k)))
-            x, u = step(w[j])
-        else:
-            x, u = step(None)
+            W = None  # release the last block before the next is drawn
+            W = kicks(rows(k1 - 1, len(B)), B)
+        # a blown-up state steps on to the end of its block
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, row, w in zip(range(k1, k1 + len(B)), B, W if stochastic else repeat(None)):
+                x = step(u, w, row)
+                u = row
+                if k == nxt:
+                    states[si] = x
+                    si += 1
+                    nxt = snap_steps[si]
+        settle(B, k1, si)
+        # the next block's kicks overwrite this block's last state
+        np.copyto(carry, u)
+        u = carry
 
     return TrajectoryRecord(
         times=snaps * dt,
@@ -415,9 +447,13 @@ def em_simulate_full(
     the circulant K, so no dense matrix is assembled.
     dec is optional plumbing for diagnostics (and required to map
     spectral noise onto the grid).  A spectral noise block reaches the
-    grid as one product xi_block @ (E b)^T.
+    grid as one product xi_block @ (E b)^T, written into the block's rows
+    of the step loop's buffer; each step reads its kick from its row and
+    writes the next state over it, in place.
 
     Raises BlowUp when the state leaves the trust region |u| <= cfg.clamp.
+    The check runs once per block of steps, and names the exact step at
+    which the state first left.
     """
     _check_gain(gain)
     if cfg.u0.grid != grid:
@@ -433,27 +469,30 @@ def em_simulate_full(
         target, dim = dec, dec.rank
         spread_t = (dec.eigenfields * noise.b_coeffs(dec)).T  # (r, n)
 
-    def kicks(xi):
+    def kicks(xi, B):
         if target is grid:
-            return cfg.epsilon * xi
-        kick = xi @ spread_t
-        kick *= cfg.epsilon
-        return kick
+            return np.multiply(cfg.epsilon, xi, out=B)
+        np.matmul(xi, spread_t, out=B)
+        B *= cfg.epsilon
+        return B
 
-    u = cfg.u0.values.copy()
+    scratch = np.empty(grid.n)
 
-    def step(w):
-        nonlocal u
+    def step(u, w, row):
+        # u + (dt * (-alpha u + K f(u)) + w), operation for operation; w
+        # is the kick in row, read before row is overwritten
         fu = gain.f(u)
-        du = cfg.dt * (-cfg.alpha * u + matvec(fu))
+        du = np.multiply(-cfg.alpha, u, out=scratch)
+        du += matvec(fu)
+        du *= cfg.dt
         if w is not None:
             du += w
-        u = u + du
-        return u, u
+        return np.add(u, du, out=row)
 
+    u0 = cfg.u0.values
     flow = None if dec is None else ModeFlow(dec, gain, cfg.alpha)
     return _integrate(
-        cfg, noise, path, target, dim, kicks, (u, u), step,
+        cfg, noise, path, target, dim, kicks, (u0, u0), step,
         lambda x, u: _grid_diagnostics(flow, grid, u),
         kind="grid", integrator="em_full", grid=grid,
     )
@@ -488,17 +527,17 @@ def galerkin_simulate(
     u = E @ c
     resid = norm_h(Field(dec.grid, cfg.u0.values - u))
 
-    def step(w):
-        nonlocal c, u
+    def step(u, w, row):
+        nonlocal c
         dc = cfg.dt * drift(c, u)
         if w is not None:
             dc += w
         c = c + dc
-        u = E @ c
-        return c, u
+        np.matmul(E, c, out=row)
+        return c
 
     return _integrate(
-        cfg, noise, path, dec, N, lambda xi: cfg.epsilon * (b * xi), (c, u), step,
+        cfg, noise, path, dec, N, lambda xi, B: cfg.epsilon * (b * xi), (c, u), step,
         lambda x, u: _mode_diagnostics(flow, x, u),
         kind="modes", integrator="galerkin", grid=dec.grid, projection_residual=resid,
     )
@@ -531,7 +570,7 @@ def doss_sussmann_simulate(
     zero = np.zeros(dec.rank)
     W = zero  # the path at the right edge of the last step
 
-    def step(xi):
+    def step(u, xi, row):
         # the mode drift -Lambda grad Theta_N at the shifted state; W adds
         # the rows in order, as NoisePath.cumulative()'s np.cumsum does
         nonlocal y, W
@@ -542,11 +581,12 @@ def doss_sussmann_simulate(
         z = y + w
         y = y + cfg.dt * drift(z, E @ z)
         v = y + w
-        return v, E @ v
+        np.matmul(E, v, out=row)
+        return v
 
     v = y + zero
     return _integrate(
-        cfg, noise, path, dec, dec.rank, lambda xi: xi, (v, E @ v), step,
+        cfg, noise, path, dec, dec.rank, lambda xi, B: xi, (v, E @ v), step,
         lambda x, u: _mode_diagnostics(flow, x, u),
         kind="modes", integrator="doss_sussmann", grid=dec.grid,
         projection_residual=resid,

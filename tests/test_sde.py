@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,89 @@ def test_blowup_step_mid_block(periodic_setup, monkeypatch):
         em_simulate_full(kernel, grid, gain, spec, cfg, dec=dec)
     assert err.value.step == expect
     assert err.value.time == expect * cfg.dt
+
+
+def recursion_peaks(scheme, kernel, grid, dec, gain, spec, cfg, path):
+    """max |u_k| for k = 0..steps, from the scheme's recursion on path,
+    one step at a time with the dense K and without a trust region."""
+    E, lam, h, dt, eps = dec.eigenfields, dec.lambdas, grid.h, cfg.dt, cfg.epsilon
+    xi = path.increments
+    if scheme in ("white", "spectral"):
+        K = build_operator_matrix(kernel, grid)
+        kick = eps * (xi if scheme == "white" else xi @ (E * spec.b_coeffs(dec)).T)
+        u = cfg.u0.values
+        us = [u]
+        for k in range(cfg.n_steps):
+            u = u + (dt * (-cfg.alpha * u + K @ gain.f(u)) + kick[k])
+            us.append(u)
+    elif scheme == "galerkin":
+        c = dec.coeffs(cfg.u0)
+        us = [E @ c]
+        for k in range(cfg.n_steps):
+            u = E @ c
+            c = c + (dt * (-cfg.alpha * c + lam * (h * (E.T @ gain.f(u))))
+                     + eps * (spec.b_coeffs(dec) * xi[k]))
+            us.append(E @ c)
+    else:
+        bw = (eps * spec.b_coeffs(dec)) * path.cumulative()
+        y = dec.coeffs(cfg.u0)
+        us = [E @ (y + bw[0])]
+        for k in range(cfg.n_steps):
+            z = y + bw[k + 1]
+            y = y + dt * (-cfg.alpha * z + lam * (h * (E.T @ gain.f(E @ z))))
+            us.append(E @ (y + bw[k + 1]))
+    return np.abs(np.array(us)).max(axis=1)
+
+
+@pytest.mark.parametrize("where", ["block start", "block end", "final step", "start"])
+@pytest.mark.parametrize("scheme", ["white", "spectral", "galerkin", "doss_sussmann"])
+def test_blowup_step_at_block_edges(gauss_setup, monkeypatch, scheme, where):
+    kernel, grid, dec = gauss_setup
+    block = 7
+    monkeypatch.setattr(sde, "NOISE_BLOCK_BYTES", block * 8 * grid.n)
+    gain = GainSpec("sigmoid")
+    # 100 steps: blocks hold steps 1-7, 8-14, ..., and 99-100 the last
+    planted = {"block start": 3 * block + 1, "block end": 4 * block,
+               "final step": 100, "start": 0}[where]
+    u0 = dec.reconstruct([1e4]) if planted == 0 else constant_field(grid, 0.2)
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=1.0, u0=u0, record_every=5)
+    mode = "white" if scheme == "white" else "spectral"
+    spec = NoiseSpec(mode=mode, rule=None if mode == "white" else "b_sq_eq_k", seed=6)
+    path = sample_noise_increments(spec, grid if mode == "white" else dec,
+                                   cfg.dt, cfg.n_steps)
+    if planted:
+        path.increments[planted - 1] = 1e6  # the kick of step `planted`
+    peaks = recursion_peaks(scheme, kernel, grid, dec, gain, spec, cfg, path)
+    expect = int(np.argmax(peaks > cfg.clamp))
+    assert expect == planted
+    with pytest.raises(BlowUpError) as err:
+        run_scheme(scheme, kernel, grid, dec, gain, spec, cfg, path=path)
+    assert err.value.step == expect
+    assert err.value.time == expect * cfg.dt
+
+
+def test_blowup_raises_no_warnings(periodic_setup):
+    # the dt = 1 cubic run overflows and steps on to the end of its block
+    kernel, grid, dec = periodic_setup
+    gain = GainSpec("cubic", allow_non_lipschitz=True)
+    cfg = SimConfig(alpha=1.0, epsilon=0.0, dt=1.0, t_final=30.0,
+                    u0=constant_field(grid, 5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError) as err:
+            em_simulate_full(kernel, grid, gain, NoiseSpec(), cfg, dec=dec)
+    assert err.value.step >= 1
+
+
+def test_mismatched_decomposition_fails_at_the_start_snapshot(gauss_setup):
+    # the t = 0 diagnostics see the other grid before any noise is spread
+    kernel, grid, _ = gauss_setup
+    other = Grid(-4.0, 4.0, 32)
+    dec = spectral_decompose(build_operator_matrix(kernel, other), other)
+    cfg = SimConfig(alpha=1.0, epsilon=0.3, dt=0.01, t_final=1.0,
+                    u0=constant_field(grid, 0.2))
+    with pytest.raises(GridMismatchError):
+        em_simulate_full(kernel, grid, GainSpec("sigmoid"), NoiseSpec(), cfg, dec=dec)
 
 
 @pytest.mark.parametrize("scheme", ["em", "galerkin", "doss_sussmann", "galerkin study"])

@@ -44,6 +44,9 @@ CASES = (
     # indefinite on a periodic grid: the closed form's sign test, exit code 2
     ("spectrum", ("grid.boundary=periodic", "kernel.family=mexican_hat_gauss", "kernel.s=1.2")),
     ("simulate", ()),
+    # grid white noise that stays in the trust region: 2,500 EM steps over
+    # three noise blocks of 1,024 rows
+    ("simulate", ("noise.mode=white", "sim.t_final=25")),
     ("energy-trace", ()),
     ("galerkin-compare", ()),
     ("gibbs-compare", ()),
