@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .errors import EmptyPointSetError, NumericalError, ParseError, RangeError, ValidationError
+from .errors import NumericalError, ParseError, RangeError, ValidationError
 from .ergodic import (
     GibbsTarget,
+    _batch_count,
     compare_measures,
     ergodic_moments,
     familywise_verdict,
@@ -41,6 +42,7 @@ from .operator import (
 )
 from .rng import derive_rng
 from .sde import (
+    _snapshot_indices,
     convergence_table,
     detect_switches,
     doss_sussmann_simulate,
@@ -121,11 +123,9 @@ def _cmd_check_kernel(cfg, out: Path) -> int:
     else:
         report["numeric_verdict"] = None
         report["numeric_reason"] = "atomic spectrum: no density sweep"
-    n_points = int(cfg.get("kernel", "gram_points"))
-    if n_points < 1:
-        raise EmptyPointSetError("Gram check needs at least one point")
     rng = derive_rng(int(cfg.get("noise", "seed")), 2)
-    pts = rng.uniform(grid.a, grid.b, size=n_points)
+    # gram_min_eigenvalue refuses the empty draw of a gram_points below 1
+    pts = rng.uniform(grid.a, grid.b, size=max(0, int(cfg.get("kernel", "gram_points"))))
     report["gram_min_eigenvalue"] = gram_min_eigenvalue(kernel, pts)
     with open(out / "kernel_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -236,18 +236,20 @@ def _cmd_gibbs_compare(cfg, out: Path) -> int:
         )
     N = int(cfg.get("gibbs", "n_modes"))
     target = GibbsTarget(dec=dec, gain=gain, alpha=sim.alpha, epsilon=sim.epsilon, n_modes=N)
-    # the SDE leg is checked before the chain runs
+    # both legs' sample counts are checked before either leg runs
     sim = dataclasses.replace(
         sim,
         t_final=float(cfg.get("gibbs", "sde_t")),
         record_every=int(cfg.get("gibbs", "sde_record_every")),
     )
     sde_burn_in = int(cfg.get("gibbs", "sde_burn_in"))
-    if sde_burn_in < 0:
-        raise RangeError(f"need burn_in >= 0, got {sde_burn_in!r}")
+    _batch_count(len(_snapshot_indices(sim.n_steps, sim.record_every)), sde_burn_in)
+    mcmc_steps = int(cfg.get("gibbs", "mcmc_steps"))
+    if mcmc_steps >= 1:  # below 1, rw_metropolis names the step count
+        _batch_count(mcmc_steps)
     samples, acc = rw_metropolis(
         target,
-        steps=int(cfg.get("gibbs", "mcmc_steps")),
+        steps=mcmc_steps,
         step_scale=float(cfg.get("gibbs", "step_scale")),
         seed=noise.seed,
         burn_in=int(cfg.get("gibbs", "burn_in")),

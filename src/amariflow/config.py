@@ -263,12 +263,14 @@ def build_gain(cfg: ExperimentConfig) -> GainSpec:
 
 
 def build_noise(cfg: ExperimentConfig) -> NoiseSpec:
+    """NoiseSpec judges the keys, noise.custom whenever it is set; white
+    noise gets rule None, since the schema always fills noise.rule."""
     sec = cfg.values["noise"]
-    if sec["mode"] == "white":
-        return NoiseSpec(mode="white", rule=None, custom=None, seed=int(sec["seed"]))
-    custom = tuple(sec["custom"]) if sec["rule"] == "custom" else None
     return NoiseSpec(
-        mode=sec["mode"], rule=sec["rule"], custom=custom, seed=int(sec["seed"])
+        mode=sec["mode"],
+        rule=None if sec["mode"] == "white" else sec["rule"],
+        custom=tuple(sec["custom"]) or None,
+        seed=int(sec["seed"]),
     )
 
 

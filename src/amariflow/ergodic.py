@@ -108,6 +108,23 @@ def detailed_balance_residual(target: GibbsTarget, b_coeffs, u) -> float:
     return float(np.abs(drift - rhs).max())
 
 
+def _check_burn_in(burn_in: int):
+    if burn_in < 0:
+        raise RangeError(f"need burn_in >= 0, got {burn_in!r}")
+
+
+def _batch_count(m: int, burn_in: int = 0) -> int:
+    """floor(sqrt(m - burn_in)) batches, as `ergodic_moments` makes; at least 10."""
+    _check_burn_in(burn_in)
+    m = max(0, m - burn_in)
+    n_batches = int(np.floor(np.sqrt(m)))
+    if n_batches < 10:
+        raise InsufficientDataError(
+            f"{m} samples give {n_batches} batches; need at least 10"
+        )
+    return n_batches
+
+
 def rw_metropolis(
     target: GibbsTarget,
     steps: int,
@@ -120,8 +137,7 @@ def rw_metropolis(
     samples has shape (steps, n_modes), post burn-in."""
     if steps < 1:
         raise RangeError(f"need steps >= 1, got {steps!r}")
-    if burn_in < 0:
-        raise RangeError(f"need burn_in >= 0, got {burn_in!r}")
+    _check_burn_in(burn_in)
     if not (np.isfinite(step_scale) and step_scale > 0.0):
         raise RangeError(f"need finite step_scale > 0, got {step_scale!r}")
     N = target.n_modes
@@ -174,15 +190,9 @@ def ergodic_moments(data, burn_in: int = 0) -> MomentSummary:
         arr = np.asarray(data, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if burn_in < 0:
-        raise RangeError(f"need burn_in >= 0, got {burn_in!r}")
+    n_batches = _batch_count(arr.shape[0], burn_in)
     arr = arr[burn_in:]
     m = arr.shape[0]
-    n_batches = int(np.floor(np.sqrt(m))) if m > 0 else 0
-    if n_batches < 10:
-        raise InsufficientDataError(
-            f"{m} samples give {n_batches} batches; need at least 10"
-        )
     batch = m // n_batches
     used = arr[: n_batches * batch]
     means = used.mean(axis=0)

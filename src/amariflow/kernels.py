@@ -61,7 +61,8 @@ def _check_positive(name: str, value: float):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Base class: scale multiplies both J and its density."""
+    """Base class: scale multiplies both J and its density.  A family
+    defines _profile(|x|) and, unless its spectrum is atomic, _density(|xi|)."""
 
     scale: float = field(default=1.0, kw_only=True)
 
@@ -70,20 +71,20 @@ class Kernel:
     def __post_init__(self):
         _check_positive("scale", self.scale)
 
-    # J is evaluated on |x| throughout, so evenness holds bitwise.
+    def _even(self, fn, x):
+        """scale * fn(|x|), a float for a 0-d x; evenness holds bitwise."""
+        out = self.scale * fn(np.abs(np.asarray(x, dtype=float)))
+        return float(out) if np.ndim(x) == 0 else out
+
     def evaluate(self, x):
-        ax = np.abs(np.asarray(x, dtype=float))
-        out = self.scale * self._profile(ax)
-        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+        return self._even(self._profile, x)
 
     def fourier_density(self, xi):
         if not self.has_density():
             raise AtomicSpectrumError(
                 f"{self.family} kernel has atomic spectrum: no density"
             )
-        axi = np.abs(np.asarray(xi, dtype=float))
-        out = self.scale * self._density(axi)
-        return float(out) if np.isscalar(xi) or np.ndim(xi) == 0 else out
+        return self._even(self._density, xi)
 
     def has_density(self) -> bool:
         return True
@@ -105,12 +106,6 @@ class Kernel:
         """The parameter bounds that classify compares against, by name;
         empty for families whose sign does not depend on a parameter."""
         return {}
-
-    def _profile(self, ax):
-        raise NotImplementedError
-
-    def _density(self, axi):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -153,13 +148,11 @@ class Exponential(Kernel):
 
 
 @dataclass(frozen=True)
-class CauchyExp(Kernel):
-    """J(x) = scale * exp(-sqrt(m) |x|), m >= 0. m = 0 degenerates to a
-    constant, whose spectrum is an atom at the origin."""
+class _MKernel(Kernel):
+    """A family in m >= 0 that degenerates to a constant at m = 0, whose
+    spectrum is an atom at the origin."""
 
     m: float = 1.0
-
-    family: ClassVar[str] = "cauchy_exp"
 
     def __post_init__(self):
         super().__post_init__()
@@ -168,30 +161,28 @@ class CauchyExp(Kernel):
 
     def has_density(self) -> bool:
         return self.m > 0.0
-
-    def _profile(self, ax):
-        return np.exp(-math.sqrt(self.m) * ax)
-
-    def _density(self, axi):
-        c = math.sqrt(self.m)
-        return math.sqrt(2.0 / math.pi) * c / (c * c + axi * axi)
 
 
 @dataclass(frozen=True)
-class Laplace(Kernel):
-    """J(x) = scale / (1 + m x^2 / 2), m >= 0; double-exponential density."""
+class CauchyExp(_MKernel):
+    """J(x) = scale * exp(-sqrt(m) |x|): the exponential kernel at rate
+    sqrt(m), whose formulas it uses."""
 
-    m: float = 1.0
+    family: ClassVar[str] = "cauchy_exp"
+
+    @property
+    def rate(self) -> float:
+        return math.sqrt(self.m)
+
+    _profile = Exponential._profile
+    _density = Exponential._density
+
+
+@dataclass(frozen=True)
+class Laplace(_MKernel):
+    """J(x) = scale / (1 + m x^2 / 2); double-exponential density."""
 
     family: ClassVar[str] = "laplace"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not np.isfinite(self.m) or self.m < 0.0:
-            raise RangeError(f"m must be >= 0 and finite, got {self.m!r}")
-
-    def has_density(self) -> bool:
-        return self.m > 0.0
 
     def _profile(self, ax):
         return 1.0 / (1.0 + self.m * ax * ax / 2.0)
@@ -441,8 +432,7 @@ class Zero(Kernel):
     def _profile(self, ax):
         return np.zeros_like(ax)
 
-    def _density(self, axi):
-        return np.zeros_like(axi)
+    _density = _profile
 
 
 FAMILIES = {
@@ -519,18 +509,11 @@ def invert_density(kernel: Kernel, x: float) -> float:
     from scipy import integrate  # imported here: no other caller, and slow to load
 
     ax = abs(float(x))
-
-    def g(xi):
-        return kernel.fourier_density(xi)
-
+    g = kernel.fourier_density
     sup = kernel.density_support()
     if sup is not None:
-        if ax < 1e-12:
-            val, _ = integrate.quad(g, 0.0, sup, epsabs=1e-12, limit=200)
-        else:
-            val, _ = integrate.quad(
-                g, 0.0, sup, weight="cos", wvar=ax, epsabs=1e-12, limit=200
-            )
+        cos = {"weight": "cos", "wvar": ax} if ax >= 1e-12 else {}
+        val, _ = integrate.quad(g, 0.0, sup, epsabs=1e-12, limit=200, **cos)
     elif ax < 1e-12:
         val, _ = integrate.quad(g, 0.0, np.inf, epsabs=1e-12, limit=400)
     else:

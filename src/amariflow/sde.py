@@ -44,7 +44,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .energy import GainSpec, ModeFlow
+from .energy import GainSpec, ModeFlow, _check_alpha
 from .errors import (
     BlowUpError,
     DimensionMismatchError,
@@ -82,7 +82,8 @@ NOISE_BLOCK_BYTES = 2**20
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise shape: white on the grid, or diagonal in the eigenbasis."""
+    """Noise shape: white on the grid, or diagonal in the eigenbasis by one
+    of NOISE_RULES; custom coefficients go with the "custom" rule only."""
 
     mode: str = "spectral"
     rule: str | None = "b_sq_eq_k"
@@ -92,23 +93,21 @@ class NoiseSpec:
     def __post_init__(self):
         if self.mode not in NOISE_MODES:
             raise RangeError(f"noise mode must be one of {NOISE_MODES}, got {self.mode!r}")
-        if self.mode == "white":
-            if self.rule is not None:
-                raise RangeError("white noise takes no diagonal rule")
-        else:
-            if self.rule not in NOISE_RULES:
-                raise RangeError(
-                    f"spectral noise rule must be one of {NOISE_RULES}, got {self.rule!r}"
-                )
-            if self.rule == "custom":
-                if self.custom is None or len(self.custom) == 0:
-                    raise RangeError("custom rule needs a coefficient list")
-                vals = tuple(float(v) for v in self.custom)
-                if any(not np.isfinite(v) or v < 0.0 for v in vals):
-                    raise RangeError("custom coefficients must be >= 0 and finite")
-                object.__setattr__(self, "custom", vals)
-            elif self.custom is not None:
-                raise RangeError(f"rule {self.rule!r} takes no custom coefficients")
+        if self.mode == "white" and (self.rule is not None or self.custom is not None):
+            raise RangeError("white noise takes no diagonal rule and no custom coefficients")
+        if self.mode == "spectral" and self.rule not in NOISE_RULES:
+            raise RangeError(
+                f"spectral noise rule must be one of {NOISE_RULES}, got {self.rule!r}"
+            )
+        if self.rule == "custom":
+            if self.custom is None or len(self.custom) == 0:
+                raise RangeError("custom rule needs a coefficient list")
+            vals = tuple(float(v) for v in self.custom)
+            if any(not np.isfinite(v) or v < 0.0 for v in vals):
+                raise RangeError("custom coefficients must be >= 0 and finite")
+            object.__setattr__(self, "custom", vals)
+        elif self.custom is not None:
+            raise RangeError(f"rule {self.rule!r} takes no custom coefficients")
 
     def b_coeffs(self, dec: SpectralDecomposition) -> np.ndarray:
         """Diagonal coefficients b_i for the retained modes."""
@@ -140,8 +139,7 @@ class SimConfig:
     clamp: float = DEFAULT_CLAMP
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0.0):
-            raise RangeError(f"alpha must be positive, got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
             raise RangeError(f"epsilon must be >= 0, got {self.epsilon!r}")
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -232,7 +230,7 @@ def sample_noise_increments(
     if isinstance(seed, np.random.Generator):
         rng, seed = seed, noise.seed
     else:
-        seed = noise.seed if seed is None else int(seed)
+        seed = noise.seed if seed is None else seed
         rng = derive_rng(seed, 0)
     if noise.mode == "white":
         grid = target.grid if isinstance(target, SpectralDecomposition) else target

@@ -208,6 +208,23 @@ def test_build_white_and_custom_noise():
     assert noise.custom == (0.5, 0.25)
 
 
+WHITE_CUSTOM = "white noise takes no diagonal rule and no custom coefficients"
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ((), "rule 'b_sq_eq_k' takes no custom coefficients"),
+    (("noise.mode=white",), WHITE_CUSTOM),
+    (("noise.mode=white", "noise.rule=custom"), WHITE_CUSTOM),
+])
+def test_build_noise_refuses_a_stray_custom(overrides, message):
+    cfg = default_config()
+    for spec in (*overrides, "noise.custom=5, 5, 5"):
+        apply_override(cfg, spec)
+    with pytest.raises(RangeError) as err:
+        build_noise(cfg)
+    assert str(err.value) == message
+
+
 def test_build_u0_from_modes(gauss_setup):
     _, grid, dec = gauss_setup
     cfg = default_config()
@@ -397,6 +414,18 @@ def test_cli_negative_seed_or_gram_points_is_one_line_in_a_subprocess(tmp_path, 
     proc = cli_subprocess(tmp_path, *args)
     assert proc.returncode == 1
     assert proc.stderr == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("overrides, error", [
+    ((), "rule 'b_sq_eq_k' takes no custom coefficients"),
+    (("noise.mode=white",), WHITE_CUSTOM),
+])
+def test_cli_stray_custom_is_one_line_in_a_subprocess(tmp_path, overrides, error):
+    args = [a for spec in (*overrides, "noise.custom=5,5,5") for a in ("--override", spec)]
+    proc = cli_subprocess(tmp_path, "simulate", *args)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: RangeError: {error}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args, error", [
@@ -674,6 +703,58 @@ def test_cli_gibbs_compare_checks_its_sde_leg_before_the_chain(tmp_path, capsys,
     assert main(["gibbs-compare", "--out", str(tmp_path), "--override", override]) == 1
     assert capsys.readouterr().err == f"error: {error}\n"
     assert not (tmp_path / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("override, samples", [
+    ("gibbs.mcmc_steps=50", "50 samples give 7 batches"),
+    ("gibbs.sde_burn_in=100000", "0 samples give 0 batches"),
+    ("gibbs.sde_record_every=100000", "0 samples give 0 batches"),
+    ("gibbs.sde_t=0.5", "0 samples give 0 batches"),
+])
+def test_cli_gibbs_compare_checks_sample_counts_before_either_leg(
+    tmp_path, monkeypatch, capsys, override, samples
+):
+    def refuse(*args, **kw):
+        raise AssertionError("a leg ran")
+
+    monkeypatch.setattr(cli, "rw_metropolis", refuse)
+    monkeypatch.setattr(cli, "galerkin_simulate", refuse)
+    assert main(["gibbs-compare", "--out", str(tmp_path), "--override", override]) == 1
+    assert capsys.readouterr().err == (
+        f"error: InsufficientDataError: {samples}; need at least 10\n"
+    )
+    assert not (tmp_path / "samples.csv").exists()
+
+
+def test_cli_gibbs_compare_leg_lengths_at_the_batch_floor(tmp_path, monkeypatch, capsys):
+    # 100 chain samples and 100 snapshots past the SDE burn-in give 10
+    # batches each: both legs run
+    ran = []
+
+    def counted(real):
+        def wrapper(*args, **kw):
+            ran.append(real.__name__)
+            return real(*args, **kw)
+        return wrapper
+
+    for name in ("rw_metropolis", "galerkin_simulate"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    assert main(["gibbs-compare", "--out", str(tmp_path),
+                 "--override", "gibbs.mcmc_steps=100",
+                 "--override", "gibbs.sde_t=10.0",
+                 "--override", "gibbs.sde_record_every=5",
+                 "--override", "gibbs.sde_burn_in=101"]) == 0
+    assert ran == ["rw_metropolis", "galerkin_simulate"]
+    assert (tmp_path / "samples.csv").exists()
+    # one snapshot fewer is refused before either leg
+    assert main(["gibbs-compare", "--out", str(tmp_path / "short"),
+                 "--override", "gibbs.sde_t=10.0",
+                 "--override", "gibbs.sde_record_every=5",
+                 "--override", "gibbs.sde_burn_in=102"]) == 1
+    assert capsys.readouterr().err == (
+        "error: InsufficientDataError: 99 samples give 9 batches; need at least 10\n"
+    )
+    assert ran == ["rw_metropolis", "galerkin_simulate"]
 
 
 def test_cli_fig1_smoke(tmp_path, capsys):

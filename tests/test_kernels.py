@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -292,3 +293,26 @@ def test_parameter_validation():
 def test_out_of_range_parameters_are_refused(make):
     with pytest.raises(RangeError):
         make()
+
+
+@pytest.mark.parametrize("m", [0.8, 1.0, 2.5, 1e-6])
+def test_cauchy_exp_is_the_exponential_at_rate_sqrt_m(m):
+    cauchy, expo = CauchyExp(m=m, scale=1.7), Exponential(rate=math.sqrt(m), scale=1.7)
+    assert dataclasses.astuple(cauchy) == (1.7, m)
+    for x in (np.linspace(-6.0, 6.0, 241), 0.0, 0.35, -2.3, np.float64(1.1), np.array(0.7)):
+        for name in ("evaluate", "fourier_density"):
+            got, want = getattr(cauchy, name)(x), getattr(expo, name)(x)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want), (name, x)
+    with pytest.raises(AtomicSpectrumError):
+        CauchyExp(m=0.0).fourier_density(np.array(0.7))
+    assert CauchyExp(m=0.0).evaluate(3.0) == 1.0
+
+
+def test_scalar_inputs_give_floats_and_arrays_give_arrays():
+    for kernel in DENSITY_KERNELS:
+        for x in (0.7, np.float64(0.7), np.array(0.7), 1):
+            assert type(kernel.evaluate(x)) is float
+            assert type(kernel.fourier_density(x)) is float
+        assert kernel.evaluate(np.array([0.7])).shape == (1,)
+        assert kernel.fourier_density(np.array([[0.7]])).shape == (1, 1)

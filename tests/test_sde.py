@@ -69,8 +69,10 @@ def test_noise_spec_validation():
         NoiseSpec(mode="spectral", rule="custom")
     with pytest.raises(RangeError):
         NoiseSpec(mode="spectral", rule="custom", custom=(1.0, -0.5))
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match="^rule 'b_eq_k' takes no custom coefficients$"):
         NoiseSpec(mode="spectral", rule="b_eq_k", custom=(1.0,))
+    with pytest.raises(RangeError, match="^white noise takes no diagonal rule and no custom "):
+        NoiseSpec(mode="white", rule=None, custom=(1.0,))
     assert NoiseSpec(mode="white", rule=None).mode == "white"
 
 
@@ -218,6 +220,26 @@ def test_blocked_draws_continue_one_stream(gauss_setup, mode):
     ]
     assert all(b.seed == 11 and b.kind == whole.kind for b in blocks)
     assert np.array_equal(np.vstack([b.increments for b in blocks]), whole.increments)
+
+
+def test_seeds_must_be_integers(gauss_setup):
+    _, _, dec = gauss_setup
+    for seed in (1.5, 1.0, np.float64(2.0), "1"):
+        with pytest.raises(RangeError, match="need an integer seed, got "):
+            derive_rng(seed)
+    with pytest.raises(RangeError, match=r"^need a seed >= 0, got -3$"):
+        derive_rng(-3)
+    # a seed the stream would have truncated is refused where it is drawn
+    with pytest.raises(RangeError, match=r"^need an integer seed, got 1\.5$"):
+        sample_noise_increments(NoiseSpec(seed=1.5), dec, 0.01, 10)
+    with pytest.raises(RangeError, match=r"^need an integer seed, got 2\.5$"):
+        sample_noise_increments(NoiseSpec(seed=1), dec, 0.01, 10, seed=2.5)
+    # numpy integers are integers
+    a = sample_noise_increments(NoiseSpec(seed=np.int64(4)), dec, 0.01, 10)
+    b = sample_noise_increments(NoiseSpec(seed=1), dec, 0.01, 10, seed=np.uint8(4))
+    raw = derive_rng(4, 0).standard_normal((10, dec.rank))
+    assert np.array_equal(a.increments, np.sqrt(0.01) * raw)
+    assert np.array_equal(a.increments, b.increments)
 
 
 def test_em_zero_gain_closed_form(gauss_setup):

@@ -98,6 +98,20 @@ CASES = (
     ("doss-sussmann-compare", ("kernel.family=zero", "sim.epsilon=0.3")),
     # a dt that does not divide t_final = 1
     ("doss-sussmann-compare", ("sim.epsilon=0.3", "sim.dt=0.03")),
+    # cauchy_exp is the exponential kernel at rate sqrt(m); at m = 0 it is
+    # constant, with an atomic spectrum; laplace at its default m
+    *(
+        (command, overrides)
+        for overrides in (
+            ("kernel.family=cauchy_exp",),
+            ("kernel.family=cauchy_exp", "kernel.m=0"),
+            ("kernel.family=laplace",),
+        )
+        for command in ("check-kernel", "simulate")
+    ),
+    # the custom noise rule, one coefficient per mode at the default rank 26
+    ("simulate", ("noise.rule=custom",
+                  "noise.custom=" + ",".join(f"{1 / k:.6g}" for k in range(1, 27)))),
     # refusals: grid noise for the pathwise transform, and more modes than
     # the decomposition retains (exit code 1)
     ("doss-sussmann-compare", ("noise.mode=white",)),
